@@ -84,8 +84,9 @@ type AnalyzeRequest struct {
 	// Explain attaches the full machine-readable certificate to every
 	// verdict: per-task checks with exact rational LHS/RHS (and GN2's
 	// witnessing λ and condition), plus each composite member's full
-	// sub-verdict. Explain on a cache hit is free — the engine memoizes
-	// certificates alongside verdicts.
+	// sub-verdict. Without explain the server only decides the verdict;
+	// the first explain request on such a cached verdict pays one exact
+	// replay of the analysis, and every later one is a free cache hit.
 	Explain bool `json:"explain,omitempty"`
 }
 

@@ -18,6 +18,12 @@ type EngineStats struct {
 	// is their cumulative wall time.
 	Analyses      uint64 `json:"analyses"`
 	AnalysisNanos uint64 `json:"analysis_nanos"`
+	// EvidenceUpgrades counts the analyses that certified a cached
+	// decision-only verdict: non-explain misses cache the decision
+	// alone, and the first explain request or peer cache lookup on such
+	// an entry replays the full analysis once (also counted in Misses
+	// and Analyses). Omitted when zero (additive v1 field).
+	EvidenceUpgrades uint64 `json:"evidence_upgrades,omitempty"`
 	// InFlight is the number of distinct analyses currently owned —
 	// executing or queued (coalesced waiters share one entry).
 	InFlight int `json:"in_flight"`
@@ -54,18 +60,19 @@ type TestCounters struct {
 // EngineStatsFrom converts an engine snapshot to its wire form.
 func EngineStatsFrom(s engine.Stats) EngineStats {
 	out := EngineStats{
-		Hits:            s.Hits,
-		Misses:          s.Misses,
-		Evictions:       s.Evictions,
-		Analyses:        s.Analyses,
-		AnalysisNanos:   s.AnalysisNanos,
-		InFlight:        s.InFlight,
-		CacheLen:        s.CacheLen,
-		CacheCap:        s.CacheCap,
-		Workers:         s.Workers,
-		Screen:          s.Screen,
-		ScreenDecided:   s.ScreenDecided,
-		ScreenEscalated: s.ScreenEscalated,
+		Hits:             s.Hits,
+		Misses:           s.Misses,
+		Evictions:        s.Evictions,
+		Analyses:         s.Analyses,
+		AnalysisNanos:    s.AnalysisNanos,
+		EvidenceUpgrades: s.Upgrades,
+		InFlight:         s.InFlight,
+		CacheLen:         s.CacheLen,
+		CacheCap:         s.CacheCap,
+		Workers:          s.Workers,
+		Screen:           s.Screen,
+		ScreenDecided:    s.ScreenDecided,
+		ScreenEscalated:  s.ScreenEscalated,
 	}
 	if len(s.Tests) > 0 {
 		out.Tests = make(map[string]TestCounters, len(s.Tests))

@@ -14,6 +14,7 @@ import (
 
 	"fpgasched/internal/core"
 	"fpgasched/internal/core/bigref"
+	"fpgasched/internal/task"
 	"fpgasched/internal/workload"
 )
 
@@ -127,4 +128,49 @@ func BenchmarkDPScreened(b *testing.B) {
 
 func BenchmarkDPRef(b *testing.B) {
 	benchAnalyze(b, context.Background(), bigref.DPTest{}, 100)
+}
+
+// coldSets is the served analyze-cold mix in-process: 30-task sets,
+// alternately Unconstrained and Heterogeneous, rescaled to a total
+// system utilization drawn from [10, 60] so some are accepted and some
+// rejected.
+func coldSets(n int) []*task.Set {
+	sets := make([]*task.Set, n)
+	for i := range sets {
+		r := workload.Rand(uint64(i) + 1)
+		prof := workload.Unconstrained(30)
+		if i%2 == 1 {
+			prof = workload.Heterogeneous(30)
+		}
+		sets[i], _ = prof.GenerateWithTargetUS(r, 10+r.Float64()*50)
+	}
+	return sets
+}
+
+func benchCold(b *testing.B, run func(context.Context, core.Test, core.Device, *task.Set) core.Verdict) {
+	sets := coldSets(512)
+	dev := core.NewDevice(workload.FigureDeviceColumns)
+	nf := core.ForNF()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := run(ctx, nf, dev, sets[i%len(sets)]); v.Err != nil {
+			b.Fatal(v.Err)
+		}
+	}
+}
+
+// BenchmarkColdAnalyze is one full any-nf analysis (with certificate
+// values) per cold 30-task set: the explain and admission cost.
+func BenchmarkColdAnalyze(b *testing.B) {
+	benchCold(b, func(ctx context.Context, t core.Test, dev core.Device, s *task.Set) core.Verdict {
+		return t.Analyze(ctx, dev, s)
+	})
+}
+
+// BenchmarkColdDecide is the same any-nf analysis through core.Decide:
+// the non-explain serving cost.
+func BenchmarkColdDecide(b *testing.B) {
+	benchCold(b, core.Decide)
 }

@@ -49,11 +49,17 @@ func (c Composite) Name() string {
 // The top-level Reason still joins the member reasons for human
 // consumption; the structured fields are authoritative.
 func (c Composite) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
+	return c.analyze(ctx, dev, s, true)
+}
+
+// analyze is Analyze with the evidence flag forwarded to every member
+// (see Decide).
+func (c Composite) analyze(ctx context.Context, dev Device, s *task.Set, evidence bool) Verdict {
 	name := c.Name()
 	out := Verdict{Test: name, FailingTask: -1}
 	var reasons []string
 	for _, t := range c.Tests {
-		v := t.Analyze(ctx, dev, s)
+		v := analyzeWith(ctx, t, dev, s, evidence)
 		out.SubVerdicts = append(out.SubVerdicts, v)
 		if v.Err != nil {
 			// A cancelled member means the composite has no answer: a

@@ -206,6 +206,67 @@ type Test interface {
 	Analyze(ctx context.Context, dev Device, s *task.Set) Verdict
 }
 
+// Decide runs t like t.Analyze and returns the same verdict — the same
+// Schedulable, AcceptedBy, Reason, FailingTask and SubVerdicts
+// structure, and one BoundCheck per evaluated task with its TaskIndex
+// and Satisfied bit — except that the checks carry no exact values
+// (LHS, RHS, Lambda and Condition are left zero). The tests are
+// sufficient bounds, so a verdict needs only one yes/no per task; the
+// exact sides are the explanation of that verdict, and building them
+// (normalised big.Rat values, GN2's re-derivation of the last rejected
+// candidate) dominates the kernels' cost. Callers that will not render
+// a certificate should call Decide; Analyze remains the source of
+// certificates.
+//
+// Every task is still evaluated, so a caller can derive the lowest
+// failing index under any permutation of the set from the Satisfied
+// bits. DP, GN1, GN2 and composites of them skip the evidence; any
+// other test falls back to its Analyze, whose checks are then stripped
+// so that a Decide verdict never carries exact values.
+func Decide(ctx context.Context, t Test, dev Device, s *task.Set) Verdict {
+	return analyzeWith(ctx, t, dev, s, false)
+}
+
+// evidenceTest is implemented by the tests whose kernels can skip
+// building certificate values: analyze(…, true) is their Analyze,
+// analyze(…, false) their Decide.
+type evidenceTest interface {
+	analyze(ctx context.Context, dev Device, s *task.Set, evidence bool) Verdict
+}
+
+// analyzeWith runs t with or without certificate evidence, falling back
+// to Analyze for tests that always build it.
+func analyzeWith(ctx context.Context, t Test, dev Device, s *task.Set, evidence bool) Verdict {
+	if et, ok := t.(evidenceTest); ok {
+		return et.analyze(ctx, dev, s, evidence)
+	}
+	v := t.Analyze(ctx, dev, s)
+	if !evidence {
+		v = withoutEvidence(v)
+	}
+	return v
+}
+
+// withoutEvidence returns a copy of v whose checks keep only their
+// TaskIndex and Satisfied bit, recursively.
+func withoutEvidence(v Verdict) Verdict {
+	if v.Checks != nil {
+		checks := make([]BoundCheck, len(v.Checks))
+		for i, c := range v.Checks {
+			checks[i] = BoundCheck{TaskIndex: c.TaskIndex, Satisfied: c.Satisfied}
+		}
+		v.Checks = checks
+	}
+	if v.SubVerdicts != nil {
+		subs := make([]Verdict, len(v.SubVerdicts))
+		for i, sv := range v.SubVerdicts {
+			subs[i] = withoutEvidence(sv)
+		}
+		v.SubVerdicts = subs
+	}
+	return v
+}
+
 // aborted builds the verdict returned when ctx was cancelled before the
 // test finished. Schedulable is false but the verdict proves nothing:
 // Err is the authoritative signal.

@@ -53,6 +53,13 @@ func (dp DPTest) Name() string {
 // loop; each iteration is a handful of exact fast-path operations plus
 // the certificate conversions.
 func (dp DPTest) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
+	return dp.analyze(ctx, dev, s, true)
+}
+
+// analyze is Analyze with the per-task certificate copies optional
+// (see Decide). The Reason renders from the exact fast-path values
+// either way.
+func (dp DPTest) analyze(ctx context.Context, dev Device, s *task.Set, evidence bool) Verdict {
 	name := dp.Name()
 	if err := ctx.Err(); err != nil {
 		return aborted(name, err)
@@ -111,12 +118,11 @@ func (dp DPTest) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 		} else {
 			ok = us.Cmp(rhs) <= 0
 		}
-		v.Checks = append(v.Checks, BoundCheck{
-			TaskIndex: k,
-			LHS:       us.Rat(),
-			RHS:       rhs.Rat(),
-			Satisfied: ok,
-		})
+		chk := BoundCheck{TaskIndex: k, Satisfied: ok}
+		if evidence {
+			chk.LHS, chk.RHS = us.Rat(), rhs.Rat()
+		}
+		v.Checks = append(v.Checks, chk)
 		if !ok && v.Schedulable {
 			v.Schedulable = false
 			v.FailingTask = k

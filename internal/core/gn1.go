@@ -73,6 +73,15 @@ func (g GN1Test) Name() string { return g.Variant.String() }
 // Analyze implements Test. The interference sums are O(N²) overall, so
 // cancellation is polled once per analysed task.
 func (g GN1Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
+	return g.analyze(ctx, dev, s, true)
+}
+
+// analyze is Analyze with the certificate values optional (see
+// Decide). Without evidence a task's comparison is decided on the
+// interval sum alone when it is certain; the exact sum is built only
+// when the enclosure straddles (or the screen is off), and once more
+// for the first failing task, whose exact sides the Reason prints.
+func (g GN1Test) analyze(ctx context.Context, dev Device, s *task.Set, evidence bool) Verdict {
 	name := g.Name()
 	if err := ctx.Err(); err != nil {
 		return aborted(name, err)
@@ -98,17 +107,12 @@ func (g GN1Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 		if err := ctx.Err(); err != nil {
 			return aborted(name, err)
 		}
-		var (
-			lhs, rhs *big.Rat
-			ok       bool
-		)
-		if sct != nil {
-			lhs, rhs, ok = g.checkTaskScreened(dev, s, k, &acc, sct)
-		} else {
-			lhs, rhs, ok = g.checkTaskR(dev, s, k, &acc)
-		}
+		lhs, rhs, ok := g.checkTaskR(dev, s, k, &acc, sct, evidence)
 		v.Checks = append(v.Checks, BoundCheck{TaskIndex: k, LHS: lhs, RHS: rhs, Satisfied: ok})
 		if !ok && v.Schedulable {
+			if lhs == nil {
+				lhs, rhs, _ = g.checkTaskR(dev, s, k, &acc, nil, true)
+			}
 			v.Schedulable = false
 			v.FailingTask = k
 			v.Reason = fmt.Sprintf("interference bound %s not below slack bound %s for task %d (%s)",
@@ -122,16 +126,36 @@ func (g GN1Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 }
 
 // checkTaskR evaluates Theorem 2's inequality for task index k,
-// returning the two sides (as certificate rationals) and whether the
-// strict inequality holds. The per-task invariants — the normalised
-// slack and the slack bound — are computed once, and the interference
-// sum runs allocation-free through acc.
-func (g GN1Test) checkTaskR(dev Device, s *task.Set, k int, acc *rat.Acc) (lhs, rhs *big.Rat, ok bool) {
+// reporting whether the strict inequality holds and, with evidence, its
+// two sides as certificate rationals. The per-task invariants — the
+// normalised slack and the slack bound — are computed once, and the
+// interference sum runs allocation-free through acc.
+//
+// With the screen on (sct non-nil) the comparison is first decided on
+// interval enclosures of the terms. A certain decision is certified to
+// agree with the exact comparison, so the verdict — and the
+// certificate, which never depends on the comparison route — is
+// identical to the exact path's. Without evidence a certain decision
+// also skips the exact sum, which is then built only for straddling
+// enclosures; with evidence the exact sum is needed anyway and the
+// screen saves only the final comparison.
+func (g GN1Test) checkTaskR(dev Device, s *task.Set, k int, acc *rat.Acc, sct *screenCounters, evidence bool) (lhs, rhs *big.Rat, ok bool) {
 	tk := s.Tasks[k]
 	// slack = 1 − Ck/Dk, the normalised slack of τk.
 	slack := rat.One.Sub(rat.FromFrac(int64(tk.C), int64(tk.D)))
 	// RHS = (A(H) − Ak + 1)·slack.
 	rhsR := rat.FromInt(int64(dev.Columns - tk.A + 1)).Mul(slack)
+	decided := false
+	if sct != nil {
+		if ok, decided = g.screenTask(s, k, slack, rhsR); decided {
+			sct.decided++
+		} else {
+			sct.escalated++
+		}
+	}
+	if decided && !evidence {
+		return nil, nil, ok
+	}
 	acc.Reset()
 	for i, ti := range s.Tasks {
 		if i == k {
@@ -140,52 +164,45 @@ func (g GN1Test) checkTaskR(dev Device, s *task.Set, k int, acc *rat.Acc) (lhs, 
 		beta := gn1BetaR(ti, tk, g.Variant)
 		acc.Add(rat.FromInt(int64(ti.A)).Mul(rat.Min(beta, slack)))
 	}
-	return acc.Rat(), rhsR.Rat(), acc.Cmp(rhsR) < 0
+	if !decided {
+		ok = acc.Cmp(rhsR) < 0
+	}
+	if !evidence {
+		return nil, nil, ok
+	}
+	return acc.Rat(), rhsR.Rat(), ok
 }
 
-// checkTaskScreened is checkTaskR with the interval screen deciding the
-// final comparison. Unlike GN2, the screen cannot skip any exact work
-// here: every task's certificate carries the exact interference sum and
-// bound, so both are computed regardless and only the comparison is
-// screened (the interval accumulator rides along on the same pass). A
-// certainly-decided comparison is certified to agree with acc.Cmp, so
-// the returned verdict — and the certificate, which never depends on
-// the comparison route — is identical to the exact path's.
-func (g GN1Test) checkTaskScreened(dev Device, s *task.Set, k int, acc *rat.Acc, sct *screenCounters) (lhs, rhs *big.Rat, ok bool) {
+// screenTask decides task k's strict inequality Σ < rhs on interval
+// enclosures of the interference terms, taken straight from the
+// integer β fractions (no gcd). decided is false when the enclosures
+// straddle the bound.
+func (g GN1Test) screenTask(s *task.Set, k int, slack, rhs rat.R) (ok, decided bool) {
 	tk := s.Tasks[k]
-	slack := rat.One.Sub(rat.FromFrac(int64(tk.C), int64(tk.D)))
-	rhsR := rat.FromInt(int64(dev.Columns - tk.A + 1)).Mul(slack)
 	islack := interval.FromRat(slack)
-	irhs := interval.FromRat(rhsR)
-	acc.Reset()
 	var iacc interval.Acc
 	for i, ti := range s.Tasks {
 		if i == k {
 			continue
 		}
-		beta := gn1BetaR(ti, tk, g.Variant)
-		acc.Add(rat.FromInt(int64(ti.A)).Mul(rat.Min(beta, slack)))
-		iacc.AddScaled(float64(ti.A), interval.Min(interval.FromRat(beta), islack))
+		num, den := gn1BetaFrac(ti, tk, g.Variant)
+		iacc.AddScaled(float64(ti.A), interval.Min(interval.FromFrac(num, den), islack))
 	}
-	lhs, rhs = acc.Rat(), rhsR.Rat()
-	il := iacc.I()
-	if il.AllLess(irhs) {
-		sct.decided++
-		return lhs, rhs, true
+	il, irhs := iacc.I(), interval.FromRat(rhs)
+	switch {
+	case il.AllLess(irhs):
+		return true, true
+	case il.AllGreaterEq(irhs):
+		return false, true
 	}
-	if il.AllGreaterEq(irhs) {
-		sct.decided++
-		return lhs, rhs, false
-	}
-	sct.escalated++
-	return lhs, rhs, acc.Cmp(rhsR) < 0
+	return false, false
 }
 
 // checkTask is the historical per-task entry point (big.Rat surface),
 // kept for tests that probe a single inequality.
 func (g GN1Test) checkTask(dev Device, s *task.Set, k int) (lhs, rhs *big.Rat, ok bool) {
 	var acc rat.Acc
-	return g.checkTaskR(dev, s, k, &acc)
+	return g.checkTaskR(dev, s, k, &acc, nil, true)
 }
 
 // gn1BetaR computes βi, the normalised worst-case interference ratio
@@ -195,6 +212,12 @@ func (g GN1Test) checkTask(dev Device, s *task.Set, k int) (lhs, rhs *big.Rat, o
 // min(Ci, max(Dk − Ni·Ti, 0)). The window arithmetic is integer tick
 // counts; only the final ratio is rational.
 func gn1BetaR(ti, tk task.Task, variant GN1Variant) rat.R {
+	return rat.FromFrac(gn1BetaFrac(ti, tk, variant))
+}
+
+// gn1BetaFrac is βi as its unreduced integer fraction (numerator,
+// denominator > 0).
+func gn1BetaFrac(ti, tk task.Task, variant GN1Variant) (num, den int64) {
 	ni := floorDiv(int64(tk.D)-int64(ti.D), int64(ti.T)) + 1
 	if ni < 0 {
 		ni = 0
@@ -207,11 +230,11 @@ func gn1BetaR(ti, tk task.Task, variant GN1Variant) rat.R {
 	if carryCap < carry {
 		carry = carryCap
 	}
-	den := int64(ti.D)
+	den = int64(ti.D)
 	if variant == GN1VariantBCL {
 		den = int64(tk.D)
 	}
-	return rat.FromFrac(ni*int64(ti.C)+carry, den)
+	return ni*int64(ti.C) + carry, den
 }
 
 // gn1Beta is gn1BetaR on the big.Rat surface, kept for the Table-3

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -112,6 +114,14 @@ func (g GN2Test) Name() string {
 // identical for every worker count: all tasks are always evaluated and
 // the failing-task attribution is resolved in task order afterwards.
 func (g GN2Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
+	return g.analyze(ctx, dev, s, true)
+}
+
+// analyze is Analyze with the certificate values optional (see
+// Decide): without evidence the sweep still decides every task, but
+// an accepting candidate yields only its Satisfied bit and a rejected
+// task skips the exact re-derivation of its last candidate.
+func (g GN2Test) analyze(ctx context.Context, dev Device, s *task.Set, evidence bool) Verdict {
 	name := g.Name()
 	if err := ctx.Err(); err != nil {
 		return aborted(name, err)
@@ -121,7 +131,7 @@ func (g GN2Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 	}
 	abnd := rat.FromInt(int64(dev.Columns - s.AMax() + 1))
 	amin := rat.FromInt(int64(s.AMin()))
-	sw := g.newSweep(s, abnd, amin)
+	sw := g.newSweep(s, abnd, amin, evidence)
 	if ScreenOn(ctx) {
 		sw.initScreen(screenStatsFrom(ctx))
 	}
@@ -196,6 +206,7 @@ func (g GN2Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 type gn2Sweep struct {
 	g             GN2Test
 	s             *task.Set
+	evidence      bool // build certificate values (false under Decide)
 	abnd, amin    rat.R
 	abndMinusAmin rat.R
 	ui            []rat.R // Ci/Ti
@@ -217,6 +228,11 @@ type gn2Sweep struct {
 	fabnd          interval.I
 	famin          interval.I
 	fabndMinusAmin interval.I
+	// candU[i] / candD[i] are the first indices of cands with λ ≥ Ci/Ti
+	// and λ ≥ Ci/Di: the β case thresholds against the global list
+	// (nil under ExtendedLambdaSearch, whose per-task lists are merged
+	// rather than suffixes). Task k's list starts at candU[k].
+	candU, candD []int
 }
 
 // newSweep precomputes the sweep invariants: per-task rationals once
@@ -224,11 +240,12 @@ type gn2Sweep struct {
 // sorted and deduplicated once — each task's candidate list is then a
 // suffix of it, found by binary search, since task k considers exactly
 // the candidates ≥ Ck/Tk and Ck/Tk itself is a member.
-func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R) *gn2Sweep {
+func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R, evidence bool) *gn2Sweep {
 	n := len(s.Tasks)
 	sw := &gn2Sweep{
 		g:             g,
 		s:             s,
+		evidence:      evidence,
 		abnd:          abnd,
 		amin:          amin,
 		abndMinusAmin: abnd.Sub(amin),
@@ -272,6 +289,14 @@ func (sw *gn2Sweep) initScreen(stats *ScreenStats) {
 	sw.fabnd = interval.FromRat(sw.abnd)
 	sw.famin = interval.FromRat(sw.amin)
 	sw.fabndMinusAmin = interval.FromRat(sw.abndMinusAmin)
+	if !sw.g.Options.ExtendedLambdaSearch {
+		sw.candU = make([]int, n)
+		sw.candD = make([]int, n)
+		for i := range sw.ui {
+			sw.candU[i] = lowerBoundR(sw.cands, sw.ui[i])
+			sw.candD[i] = lowerBoundR(sw.cands, sw.dens[i])
+		}
+	}
 }
 
 // gn2Scratch is the per-worker reusable state: the λ-independent
@@ -287,9 +312,9 @@ type gn2Scratch struct {
 	// Screened-path scratch: enclosures of the hoisted case-1 βs and,
 	// per interfering task, the first candidate index at which the β
 	// case switches (the candidate list is sorted, so the exact
-	// per-term case comparisons collapse to two index thresholds,
-	// resolved by binary search once per task instead of twice per
-	// (i, λ) pair).
+	// per-term case comparisons collapse to two index thresholds — the
+	// sweep's global candU/candD shifted to task k's suffix, or under
+	// the extended search one binary search each per task).
 	fb1  []interval.I
 	thrU []int // first candidate index with λ >= Ci/Ti (case 1)
 	thrD []int // first candidate index with λ >= Ci/Di (middle case)
@@ -330,12 +355,10 @@ func (sw *gn2Sweep) checkTask(ctx context.Context, k int, sc *gn2Scratch) (Bound
 	dk := int64(tk.D)
 
 	// Hoisted per-candidate invariants: the case-1 β of every task i is
-	// independent of λ — βi = max(ui, ui·(1−Di/Dk) + Ci/Dk) — so it is
-	// computed once per (i, k) pair instead of once per (i, k, λ).
+	// independent of λ, so it is computed once per (i, k) pair instead
+	// of once per (i, k, λ).
 	for i, ti := range sw.s.Tasks {
-		ui := sw.ui[i]
-		alt := rat.One.Sub(rat.FromFrac(int64(ti.D), dk)).Mul(ui).Add(rat.FromFrac(int64(ti.C), dk))
-		sc.b1[i] = rat.Max(ui, alt)
+		sc.b1[i] = gn2CaseOneBeta(ti, sw.ui[i], dk)
 	}
 
 	// λk = λ·max(1, Tk/Dk): the multiplier is per-task constant.
@@ -372,7 +395,7 @@ func (sw *gn2Sweep) checkTask(ctx context.Context, k int, sc *gn2Scratch) (Bound
 		lastRHS = rhs2
 		lastValid = true
 	}
-	if !lastValid {
+	if !lastValid || !sw.evidence {
 		return BoundCheck{}, nil
 	}
 	return BoundCheck{LHS: sc.last.Rat(), RHS: lastRHS.Rat(), Satisfied: false}, nil
@@ -380,12 +403,13 @@ func (sw *gn2Sweep) checkTask(ctx context.Context, k int, sc *gn2Scratch) (Bound
 
 // evalCandidate evaluates conditions 1 and 2 exactly for one λ
 // candidate (whose λk ≤ 1 the caller has established). On acceptance it
-// returns the satisfied BoundCheck. Otherwise it parks the condition-2
-// LHS in sc.last and returns the condition-2 RHS, which together form
-// the failing certificate's evidence if this turns out to be the last
-// candidate. Both the exact and the screened sweep paths funnel through
-// here, so a candidate is evaluated identically no matter how it was
-// reached — the screen cannot perturb certificates.
+// returns the satisfied BoundCheck (just the bit without evidence).
+// Otherwise it parks the condition-2 LHS in sc.last and returns the
+// condition-2 RHS, which together form the failing certificate's
+// evidence if this turns out to be the last candidate. Both the exact
+// and the screened sweep paths funnel through here, so a candidate is
+// evaluated identically no matter how it was reached — the screen
+// cannot perturb certificates.
 func (sw *gn2Sweep) evalCandidate(k int, lambda, oneMinus rat.R, sc *gn2Scratch) (BoundCheck, rat.R, bool) {
 	uk := sw.ui[k]
 	dk := int64(sw.s.Tasks[k].D)
@@ -423,19 +447,56 @@ func (sw *gn2Sweep) evalCandidate(k int, lambda, oneMinus rat.R, sc *gn2Scratch)
 	// Condition 1: Σ Ai·min(β, 1−λk) < Abnd·(1−λk), strict.
 	rhs1 := sw.abnd.Mul(oneMinus)
 	if sc.sum1.Cmp(rhs1) < 0 {
-		return BoundCheck{LHS: sc.sum1.Rat(), RHS: rhs1.Rat(), Satisfied: true, Lambda: lambda.Rat(), Condition: 1}, rat.R{}, true
+		return sw.satisfied(sc.sum1, rhs1, lambda, 1), rat.R{}, true
 	}
 
 	// Condition 2: Σ Ai·min(β, 1) vs (Abnd−Amin)·(1−λk) + Amin.
 	rhs2 := sw.abndMinusAmin.Mul(oneMinus).Add(sw.amin)
 	cmp := sc.sum2.Cmp(rhs2)
 	if cmp < 0 || (sw.g.Options.CondTwoNonStrict && cmp == 0) {
-		return BoundCheck{LHS: sc.sum2.Rat(), RHS: rhs2.Rat(), Satisfied: true, Lambda: lambda.Rat(), Condition: 2}, rat.R{}, true
+		return sw.satisfied(sc.sum2, rhs2, lambda, 2), rat.R{}, true
 	}
 	// Keep the failed condition-2 evidence without copying: swap
 	// the accumulator with the scratch's holding slot.
 	sc.sum2, sc.last = sc.last, sc.sum2
 	return BoundCheck{}, rhs2, false
+}
+
+// satisfied builds the accepting check for condition cond at λ: the
+// exact sides and witness as certificate rationals, or with no
+// evidence requested only the Satisfied bit.
+func (sw *gn2Sweep) satisfied(lhs *rat.Acc, rhs, lambda rat.R, cond int) BoundCheck {
+	if !sw.evidence {
+		return BoundCheck{Satisfied: true}
+	}
+	return BoundCheck{LHS: lhs.Rat(), RHS: rhs.Rat(), Satisfied: true, Lambda: lambda.Rat(), Condition: cond}
+}
+
+// gn2CaseOneBeta is Lemma 7's λ-independent case-1 value
+//
+//	βk(i) = max(Ci/Ti, Ci/Ti·(1 − Di/Dk) + Ci/Dk)
+//
+// in closed form: the second term is Ci·(Dk + Ti − Di)/(Ti·Dk), which
+// exceeds Ci/Ti exactly when Ti > Di. So one integer comparison and
+// one fraction replace the rational chain, with an identical value
+// (and hence identical certificates). ui must be Ci/Ti. The chain is
+// kept as the fallback when an int64 product would overflow. This is
+// the single production copy of the case-1 term; internal/core/bigref
+// keeps the printed expression as the oracle.
+func gn2CaseOneBeta(ti task.Task, ui rat.R, dk int64) rat.R {
+	c, d, t := int64(ti.C), int64(ti.D), int64(ti.T)
+	if t <= d {
+		return ui // Ti = Di makes the two terms equal
+	}
+	if t-d <= math.MaxInt64-dk {
+		nh, num := bits.Mul64(uint64(c), uint64(dk+t-d))
+		dh, den := bits.Mul64(uint64(t), uint64(dk))
+		if nh == 0 && dh == 0 && num <= math.MaxInt64 && den <= math.MaxInt64 {
+			return rat.FromFrac(int64(num), int64(den))
+		}
+	}
+	alt := rat.One.Sub(rat.FromFrac(d, dk)).Mul(ui).Add(rat.FromFrac(c, dk))
+	return rat.Max(ui, alt)
 }
 
 // oneIv is condition 2's constant cap as an exact interval.
@@ -460,9 +521,7 @@ func (sw *gn2Sweep) checkTaskScreened(ctx context.Context, k int, sc *gn2Scratch
 	// Hoisted exactly as in checkTask — the exact case-1 βs also feed
 	// every escalated evaluation — plus their enclosures.
 	for i, ti := range sw.s.Tasks {
-		ui := sw.ui[i]
-		alt := rat.One.Sub(rat.FromFrac(int64(ti.D), dk)).Mul(ui).Add(rat.FromFrac(int64(ti.C), dk))
-		sc.b1[i] = rat.Max(ui, alt)
+		sc.b1[i] = gn2CaseOneBeta(ti, sw.ui[i], dk)
 		sc.fb1[i] = interval.FromRat(sc.b1[i])
 	}
 
@@ -475,13 +534,22 @@ func (sw *gn2Sweep) checkTaskScreened(ctx context.Context, k int, sc *gn2Scratch
 	cands := sw.candidatesFor(k, sc)
 	// The candidate list is sorted ascending, so the exact per-term β
 	// case tests "λ ≥ Ci/Ti" and "λ ≥ Ci/Di" hold exactly for the
-	// candidates at or beyond a threshold index, found once per task by
-	// binary search. The screened inner loop then selects β cases by
-	// integer comparison — bit-identically to the exact comparisons.
-	for i := range sw.ui {
-		ui, di := sw.ui[i], sw.dens[i]
-		sc.thrU[i] = sort.Search(len(cands), func(j int) bool { return cands[j].Cmp(ui) >= 0 })
-		sc.thrD[i] = sort.Search(len(cands), func(j int) bool { return cands[j].Cmp(di) >= 0 })
+	// candidates at or beyond a threshold index. The screened inner loop
+	// then selects β cases by integer comparison — bit-identically to
+	// the exact comparisons. Task k's list is the global list's suffix
+	// from candU[k], so the sweep-wide thresholds shift by that offset;
+	// the extended search's merged list needs its own binary searches.
+	if sw.candU != nil {
+		off := sw.candU[k]
+		for i := range sw.ui {
+			sc.thrU[i] = max(sw.candU[i]-off, 0)
+			sc.thrD[i] = max(sw.candD[i]-off, 0)
+		}
+	} else {
+		for i := range sw.ui {
+			sc.thrU[i] = lowerBoundR(cands, sw.ui[i])
+			sc.thrD[i] = lowerBoundR(cands, sw.dens[i])
+		}
 	}
 
 	fDk := sw.fD[k]
@@ -587,7 +655,7 @@ func (sw *gn2Sweep) checkTaskScreened(ctx context.Context, k int, sc *gn2Scratch
 		}
 	}
 	lastIdx := validEnd - 1
-	if lastIdx < 0 {
+	if lastIdx < 0 || !sw.evidence {
 		return BoundCheck{}, nil
 	}
 	if lastExactIdx != lastIdx {
@@ -725,8 +793,12 @@ func (sw *gn2Sweep) rangeViolated(k int, cands []rat.R, lo, hi int, scaled bool,
 // always a member), plus — under ExtendedLambdaSearch — the
 // min-crossing breakpoints, merged in the scratch buffer.
 func (sw *gn2Sweep) candidatesFor(k int, sc *gn2Scratch) []rat.R {
-	uk := sw.ui[k]
-	idx := sort.Search(len(sw.cands), func(i int) bool { return sw.cands[i].Cmp(uk) >= 0 })
+	var idx int
+	if sw.candU != nil {
+		idx = sw.candU[k]
+	} else {
+		idx = lowerBoundR(sw.cands, sw.ui[k])
+	}
 	base := sw.cands[idx:]
 	if !sw.g.Options.ExtendedLambdaSearch {
 		return base
@@ -808,7 +880,7 @@ func sortDedupR(rs []rat.R) []rat.R {
 // λ-completeness and certificate tests: it runs the production sweep
 // machinery for exactly one task with explicitly supplied bounds.
 func (g GN2Test) checkTask(ctx context.Context, s *task.Set, k int, abnd, amin *big.Rat) (BoundCheck, error) {
-	sw := g.newSweep(s, rat.FromBig(abnd), rat.FromBig(amin))
+	sw := g.newSweep(s, rat.FromBig(abnd), rat.FromBig(amin), true)
 	return sw.checkTask(ctx, k, sw.newScratch())
 }
 
@@ -823,9 +895,7 @@ func (g GN2Test) beta(ti, tk task.Task, lambda *big.Rat) *big.Rat {
 func (g GN2Test) betaR(ti, tk task.Task, lambda rat.R) rat.R {
 	ui := rat.FromFrac(int64(ti.C), int64(ti.T))
 	if ui.Cmp(lambda) <= 0 {
-		// max(Ci/Ti, Ci/Ti·(1 − Di/Dk) + Ci/Dk).
-		alt := rat.One.Sub(rat.FromFrac(int64(ti.D), int64(tk.D))).Mul(ui).Add(rat.FromFrac(int64(ti.C), int64(tk.D)))
-		return rat.Max(ui, alt)
+		return gn2CaseOneBeta(ti, ui, int64(tk.D))
 	}
 	dens := rat.FromFrac(int64(ti.C), int64(ti.D))
 	if lambda.Cmp(dens) >= 0 {

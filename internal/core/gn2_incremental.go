@@ -167,7 +167,7 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 	// full sweep uses. The interval screen (verdict-invariant, so either
 	// route yields the same checks) also pre-filters the incremental
 	// path's exact evaluations of fresh and scanned candidates.
-	sw := st.g.newSweep(trial, st.abnd, st.amin)
+	sw := st.g.newSweep(trial, st.abnd, st.amin, true)
 	screened := ScreenOn(ctx)
 	if screened {
 		sw.initScreen(screenStatsFrom(ctx))
@@ -457,10 +457,7 @@ func (st *gn2AdmitState) witnessDelta(sw *gn2Sweep, k int, w rat.R) gn2Recheck {
 func gn2BetaAt(sw *gn2Sweep, k, i int, lambda rat.R) rat.R {
 	ui := sw.ui[i]
 	if ui.Cmp(lambda) <= 0 {
-		ti := sw.s.Tasks[i]
-		dk := int64(sw.s.Tasks[k].D)
-		alt := rat.One.Sub(rat.FromFrac(int64(ti.D), dk)).Mul(ui).Add(rat.FromFrac(int64(ti.C), dk))
-		return rat.Max(ui, alt)
+		return gn2CaseOneBeta(sw.s.Tasks[i], ui, int64(sw.s.Tasks[k].D))
 	}
 	if lambda.Cmp(sw.dens[i]) >= 0 {
 		if sw.g.Options.CaseTwoBaker {

@@ -18,10 +18,22 @@
 // waiters transparently takes over ownership and the analysis is
 // neither lost nor duplicated.
 //
-// Certificates are memoized alongside verdicts: the cached entry keeps
-// the full per-task Checks and composite SubVerdicts, so an explain
-// request on a cache hit is free (no re-analysis), with the
-// index-bearing fields remapped to each caller's task order on return.
+// Verdicts are decided first and certified on demand. A miss whose
+// request omits the checks (Request.OmitChecks: the server's
+// non-explain path and experiment jobs) runs core.Decide, which
+// evaluates every per-task bound but builds no exact certificate
+// values, and caches a decision-only entry: the verdict, every task's
+// Satisfied bit, and the test and canonical set needed to certify it
+// later. An explain miss runs the full core.Test.Analyze and caches the
+// certificate. The first request that needs the evidence of a
+// decision-only entry — an explain request, or a peer's cache lookup
+// (PeekCanonical with evidence) — pays one exact replay: a full Analyze
+// that upgrades the entry in place, coalesced through the same
+// in-flight machinery as any other analysis, and counted in
+// Stats.Upgrades. Every later explain hit on that entry is free, with
+// the index-bearing fields remapped to each caller's task order on
+// return. A full entry is never downgraded, and a full in-flight
+// analysis also serves waiting non-explain requests.
 //
 // The memoization is sound because every core.Test is a pure function of
 // (device, taskset) and every analysis-relevant bit of the taskset is
@@ -105,6 +117,11 @@ type Stats struct {
 	InFlight int
 	// Analyses counts test executions actually performed.
 	Analyses uint64
+	// Upgrades counts the full analyses that replaced a cached
+	// decision-only verdict with its certificate (the first explain
+	// request or peer lookup on such an entry). They are also counted
+	// in Misses and Analyses.
+	Upgrades uint64
 	// AnalysisNanos is the cumulative wall time of those executions.
 	AnalysisNanos uint64
 	// CacheLen and CacheCap describe the memoization cache occupancy.
@@ -151,9 +168,11 @@ type Request struct {
 	Test core.Test
 	// OmitChecks drops the per-task bound checks from the returned
 	// verdict. Callers that only need the verdict summary (the server's
-	// detail=false path) save the per-request check remapping; the
-	// cached entry is unaffected, so detail and non-detail requests
-	// still share it. FailingTask is remapped either way.
+	// non-explain path, experiment jobs) save the per-request check
+	// remapping and, on a miss, the certificate itself: the analysis
+	// runs core.Decide and caches a decision-only entry, which a later
+	// request without OmitChecks upgrades with one full analysis.
+	// FailingTask is the caller's lowest failing index either way.
 	OmitChecks bool
 }
 
@@ -177,12 +196,12 @@ type Engine struct {
 
 	mu       sync.Mutex
 	cache    *lru
-	inflight map[cacheKey]*call
+	inflight map[flightKey]*call
 
 	stats struct {
 		sync.Mutex
 		hits, misses, evictions        uint64
-		analyses, nanos                uint64
+		analyses, nanos, upgrades      uint64
 		screenDecided, screenEscalated uint64
 		perTest                        map[string]*TestStats
 	}
@@ -221,7 +240,7 @@ func New(cfg Config) *Engine {
 		sweepWorkers: sweep,
 		screenOff:    cfg.DisableScreen,
 		cache:        cache,
-		inflight:     make(map[cacheKey]*call),
+		inflight:     make(map[flightKey]*call),
 	}
 }
 
@@ -244,6 +263,35 @@ type cacheKey struct {
 	test    string
 	columns int
 	fp      task.Fingerprint
+}
+
+// flightKey names one in-flight analysis: a full Analyze (evidence)
+// and a Decide of the same key are distinct flights, since only the
+// former can serve an explain request.
+type flightKey struct {
+	cacheKey
+	evidence bool
+}
+
+// source is what the owner of a flight analyses: the test and the set,
+// either in the caller's order with its canonical permutation (perm
+// non-nil) or already canonical (a decision-only entry's stored set).
+type source struct {
+	test core.Test
+	set  *task.Set
+	perm []int
+}
+
+// canonical returns the set in canonical (fingerprint) order.
+func (s source) canonical() *task.Set {
+	if s.perm == nil {
+		return s.set
+	}
+	canon := &task.Set{Tasks: make([]task.Task, len(s.perm))}
+	for pos, orig := range s.perm {
+		canon.Tasks[pos] = s.set.Tasks[orig]
+	}
+	return canon
 }
 
 // key builds the memoization key for a request, reusing the caller's
@@ -338,50 +386,85 @@ func (e *Engine) Analyze(ctx context.Context, r Request) (core.Verdict, error) {
 	default:
 	}
 	perm := r.Set.CanonicalPerm()
-	k := key(r, perm)
+	v, _, err := e.resolve(ctx, key(r, perm), !r.OmitChecks, &source{test: r.Test, set: r.Set, perm: perm}, false)
+	if err != nil {
+		return core.Verdict{}, err
+	}
+	return remapVerdict(v, perm, r.OmitChecks), nil
+}
 
+// resolve returns the canonical-order verdict for k: from the cache
+// when the entry carries what is asked for (any entry without
+// evidence; only a certified one with it), by joining an in-flight
+// analysis that can serve the request, or by owning a new one. A
+// decision-only entry asked for evidence is upgraded: the owner runs
+// the full analysis of the entry's stored canonical set (src may be
+// nil then). With probe set, a key with no cache entry at all is a
+// miss (found = false) and nothing is analysed.
+func (e *Engine) resolve(ctx context.Context, k cacheKey, evidence bool, src *source, probe bool) (v core.Verdict, found bool, err error) {
 	// Loop: a coalesced wait can end with the owner abandoning the
 	// analysis (its context was cancelled before a slot freed up). This
 	// waiter's context may still be live, so it retries — finding the
 	// key uncached and un-inflight, it becomes the new owner.
 	for {
 		e.mu.Lock()
+		var ent *entry
 		if e.cache != nil {
-			if v, ok := e.cache.get(k); ok {
-				e.mu.Unlock()
-				e.countHit(k.test)
-				return remapVerdict(v, perm, r.OmitChecks), nil
-			}
+			ent = e.cache.get(k)
 		}
-		if c, ok := e.inflight[k]; ok {
+		if ent != nil && (!evidence || !ent.decided) {
+			v := ent.verdict
+			e.mu.Unlock()
+			e.countHit(k.test)
+			return v, true, nil
+		}
+		if ent == nil && probe {
+			e.mu.Unlock()
+			return core.Verdict{}, false, nil
+		}
+		upgrade := ent != nil
+		if upgrade {
+			// Certify the stored canonical set: it is the one the
+			// decision was made on, whatever order this caller sent.
+			src = &source{test: ent.test, set: ent.set}
+		}
+		// A full analysis serves every request; a decision serves only
+		// requests that do not need the evidence.
+		c, ok := e.inflight[flightKey{k, true}]
+		if !ok && !evidence {
+			c, ok = e.inflight[flightKey{k, false}]
+		}
+		if ok {
 			e.mu.Unlock()
 			select {
 			case <-c.done:
 			case <-ctx.Done():
-				return core.Verdict{}, ctx.Err()
+				return core.Verdict{}, false, ctx.Err()
 			}
 			if c.err != nil {
 				if c.err == errAbandoned {
 					if err := ctx.Err(); err != nil {
-						return core.Verdict{}, err
+						return core.Verdict{}, false, err
 					}
 					continue
 				}
-				return core.Verdict{}, c.err
+				return core.Verdict{}, false, c.err
 			}
 			e.countHit(k.test)
-			return remapVerdict(c.verdict, perm, r.OmitChecks), nil
+			return c.verdict, true, nil
 		}
-		c := &call{done: make(chan struct{})}
-		e.inflight[k] = c
+		fk := flightKey{k, evidence}
+		c = &call{done: make(chan struct{})}
+		e.inflight[fk] = c
 		e.mu.Unlock()
-		return e.own(ctx, r, perm, k, c)
+		v, err := e.own(ctx, *src, fk, c, upgrade)
+		return v, err == nil, err
 	}
 }
 
 // abandon withdraws an owned but never-run call: the inflight entry is
 // removed and waiters are released with errAbandoned so they retry.
-func (e *Engine) abandon(k cacheKey, c *call) {
+func (e *Engine) abandon(k flightKey, c *call) {
 	c.err = errAbandoned
 	e.mu.Lock()
 	delete(e.inflight, k)
@@ -390,9 +473,10 @@ func (e *Engine) abandon(k cacheKey, c *call) {
 }
 
 // own drives the call this goroutine created: acquire a pool slot, run
-// the analysis, publish the verdict, unblock waiters. Cancellation
-// while queued abandons the call without consuming a slot.
-func (e *Engine) own(ctx context.Context, r Request, perm []int, k cacheKey, c *call) (core.Verdict, error) {
+// the analysis, publish the canonical-order verdict, unblock waiters.
+// Cancellation while queued abandons the call without consuming a
+// slot.
+func (e *Engine) own(ctx context.Context, src source, k flightKey, c *call, upgrade bool) (core.Verdict, error) {
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -419,10 +503,7 @@ func (e *Engine) own(ctx context.Context, r Request, perm []int, k cacheKey, c *
 	e.countMiss(k.test)
 	// Analyze the canonically ordered copy so the cached verdict's
 	// indices mean the same thing to every permutation of this set.
-	canon := &task.Set{Tasks: make([]task.Task, len(perm))}
-	for pos, orig := range perm {
-		canon.Tasks[pos] = r.Set.Tasks[orig]
-	}
+	canon := src.canonical()
 	// One counter sink per analysis: harvested only on successful
 	// completion (below), so aborted sweeps contribute no screen
 	// counters, mirroring the Analyses counter.
@@ -431,14 +512,15 @@ func (e *Engine) own(ctx context.Context, r Request, perm []int, k cacheKey, c *
 		ss = new(core.ScreenStats)
 	}
 	start := time.Now()
-	v, runErr := e.runAnalysis(ctx, r, canon, ss)
+	v, runErr := e.runAnalysis(ctx, src.test, k, canon, ss)
 	elapsed := time.Since(start)
 	if runErr == nil && v.Err != nil {
 		// The test aborted mid-analysis (the owner's context was
 		// cancelled inside GN2's λ sweep). The verdict proves nothing:
 		// never cache it. Waiters retry via errAbandoned — their own
 		// contexts may still be live, and the re-run is correct because
-		// the aborted partial work left no state behind.
+		// the aborted partial work left no state behind. An aborted
+		// upgrade leaves the decision-only entry in place.
 		runErr = errAbandoned
 	}
 	if runErr != nil {
@@ -463,6 +545,9 @@ func (e *Engine) own(ctx context.Context, r Request, perm []int, k cacheKey, c *
 	e.stats.Lock()
 	e.stats.analyses++
 	e.stats.nanos += uint64(elapsed.Nanoseconds())
+	if upgrade {
+		e.stats.upgrades++
+	}
 	ts := e.perTestLocked(k.test)
 	ts.Analyses++
 	if ss != nil {
@@ -475,66 +560,72 @@ func (e *Engine) own(ctx context.Context, r Request, perm []int, k cacheKey, c *
 	e.stats.Unlock()
 
 	c.verdict = v
-	e.mu.Lock()
-	if e.cache != nil {
-		if e.cache.add(k, v) {
-			e.stats.Lock()
-			e.stats.evictions++
-			e.stats.Unlock()
-		}
+	ent := entry{key: k.cacheKey, verdict: v}
+	if !k.evidence {
+		ent.decided, ent.test, ent.set = true, src.test, canon
 	}
+	e.mu.Lock()
+	e.addLocked(ent)
 	delete(e.inflight, k)
 	e.mu.Unlock()
 	close(c.done)
-	return remapVerdict(v, perm, r.OmitChecks), nil
+	return v, nil
+}
+
+// addLocked caches ent, counting an eviction. Callers hold e.mu.
+func (e *Engine) addLocked(ent entry) {
+	if e.cache != nil && e.cache.add(ent) {
+		e.stats.Lock()
+		e.stats.evictions++
+		e.stats.Unlock()
+	}
 }
 
 // PeekCanonical returns the cached verdict for the memoization key
 // (testName, columns, fp) in CANONICAL task order, without triggering,
-// queueing or waiting for any analysis — a strict cache-hit-or-miss
-// probe. It is the engine half of the cluster peer-fetch protocol: a
-// node serving POST /v1/cache/lookup for a peer answers from here, so a
-// lookup can never transfer analysis load; and a peer-mode node checks
-// its own cache through it before routing to the fingerprint owner.
-// A found verdict counts as a cache hit (it is served without running a
-// test); a miss counts nothing, mirroring Analyze's rule that misses
-// are only counted when an analysis actually claims a worker slot.
-// The returned verdict is shared and must be treated as read-only.
-func (e *Engine) PeekCanonical(testName string, columns int, fp task.Fingerprint) (core.Verdict, bool) {
-	k := cacheKey{test: testName, columns: columns, fp: fp}
-	e.mu.Lock()
-	if e.cache != nil {
-		if v, ok := e.cache.get(k); ok {
-			e.mu.Unlock()
-			e.countHit(k.test)
-			return v, true
-		}
+// queueing or waiting for the analysis of an uncached key — a strict
+// cache-hit-or-miss probe. It is the engine half of the cluster
+// peer-fetch protocol: a node serving POST /v1/cache/lookup for a peer
+// answers from here, so a lookup can never transfer cold analysis
+// load; and a peer-mode node checks its own cache through it before
+// routing to the fingerprint owner.
+//
+// With evidence, the verdict must carry its certificate: a
+// decision-only entry is upgraded in place with one full analysis of
+// its stored set (coalesced with any concurrent upgrade or explain
+// request, and abandoned — reporting a miss, the entry left as it was —
+// if ctx ends first). Without evidence any entry is returned, and a
+// decision-only verdict's checks carry only their Satisfied bits.
+// A verdict served from the cache counts as a hit; a miss counts
+// nothing, mirroring Analyze's rule that misses are only counted when
+// an analysis actually claims a worker slot. The returned verdict is
+// shared and must be treated as read-only.
+func (e *Engine) PeekCanonical(ctx context.Context, testName string, columns int, fp task.Fingerprint, evidence bool) (core.Verdict, bool) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	e.mu.Unlock()
-	return core.Verdict{}, false
+	v, found, err := e.resolve(ctx, cacheKey{test: testName, columns: columns, fp: fp}, evidence, nil, true)
+	if err != nil {
+		return core.Verdict{}, false
+	}
+	return v, found
 }
 
 // InsertCanonical seeds the cache with a verdict obtained elsewhere —
 // in practice a certificate fetched from the fingerprint owner's cache
 // in peer mode, reconstructed into canonical task order. The verdict
-// must be in canonical (fingerprint) order and complete (Err == nil);
-// aborted verdicts are dropped, matching Analyze's never-cache-aborted
-// rule. Insertion is sound for the same reason memoization is: every
-// test is a pure function of (columns, fingerprint), so a verdict is
-// valid wherever it was computed — cache keys are node-invariant.
+// must be in canonical (fingerprint) order, complete (Err == nil) and
+// certified (a full analysis, as peer lookups always return); aborted
+// verdicts are dropped, matching Analyze's never-cache-aborted rule.
+// Insertion is sound for the same reason memoization is: every test is
+// a pure function of (columns, fingerprint), so a verdict is valid
+// wherever it was computed — cache keys are node-invariant.
 func (e *Engine) InsertCanonical(testName string, columns int, fp task.Fingerprint, v core.Verdict) {
 	if v.Err != nil {
 		return
 	}
-	k := cacheKey{test: testName, columns: columns, fp: fp}
 	e.mu.Lock()
-	if e.cache != nil {
-		if e.cache.add(k, v) {
-			e.stats.Lock()
-			e.stats.evictions++
-			e.stats.Unlock()
-		}
-	}
+	e.addLocked(entry{key: cacheKey{test: testName, columns: columns, fp: fp}, verdict: v})
 	e.mu.Unlock()
 }
 
@@ -596,12 +687,13 @@ func (e *Engine) AnalyzeAll(ctx context.Context, reqs []Request) ([]core.Verdict
 // test panic into an error so no waiter or slot is ever leaked. The
 // owner's ctx reaches inside the test: GN2's λ sweep polls it, so a
 // disconnected client aborts a long analysis mid-run instead of
-// pinning the slot until the sweep finishes.
-func (e *Engine) runAnalysis(ctx context.Context, r Request, canon *task.Set, ss *core.ScreenStats) (v core.Verdict, err error) {
+// pinning the slot until the sweep finishes. A flight without evidence
+// runs core.Decide, one with evidence the full Analyze.
+func (e *Engine) runAnalysis(ctx context.Context, t core.Test, k flightKey, canon *task.Set, ss *core.ScreenStats) (v core.Verdict, err error) {
 	defer func() { <-e.sem }()
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("engine: test %q panicked: %v", r.Test.Name(), p)
+			err = fmt.Errorf("engine: test %q panicked: %v", t.Name(), p)
 		}
 	}()
 	// Thread the configured per-analysis parallelism to the test: GN2's
@@ -615,7 +707,11 @@ func (e *Engine) runAnalysis(ctx context.Context, r Request, canon *task.Set, ss
 	} else if ss != nil {
 		ctx = core.WithScreenStats(ctx, ss)
 	}
-	return r.Test.Analyze(ctx, core.NewDevice(r.Columns), canon), nil
+	dev := core.NewDevice(k.columns)
+	if !k.evidence {
+		return core.Decide(ctx, t, dev, canon), nil
+	}
+	return t.Analyze(ctx, dev, canon), nil
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -627,6 +723,7 @@ func (e *Engine) Stats() Stats {
 		Evictions:       e.stats.evictions,
 		Analyses:        e.stats.analyses,
 		AnalysisNanos:   e.stats.nanos,
+		Upgrades:        e.stats.upgrades,
 		Workers:         cap(e.sem),
 		SweepWorkers:    e.sweepWorkers,
 		Screen:          !e.screenOff,
@@ -686,9 +783,15 @@ type lru struct {
 	byKey map[cacheKey]*list.Element
 }
 
+// entry is one cached verdict. A decision-only entry (decided, from
+// core.Decide) keeps its test and canonical set so it can be upgraded
+// to a certified one later; a certified entry needs neither.
 type entry struct {
 	key     cacheKey
 	verdict core.Verdict
+	decided bool
+	test    core.Test
+	set     *task.Set
 }
 
 func newLRU(capacity int) *lru {
@@ -697,24 +800,29 @@ func newLRU(capacity int) *lru {
 
 func (c *lru) len() int { return c.order.Len() }
 
-func (c *lru) get(k cacheKey) (core.Verdict, bool) {
+// get returns the entry for k (nil when absent), marking it recent.
+// The entry is owned by the cache: read it under the engine mutex.
+func (c *lru) get(k cacheKey) *entry {
 	el, ok := c.byKey[k]
 	if !ok {
-		return core.Verdict{}, false
+		return nil
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*entry).verdict, true
+	return el.Value.(*entry)
 }
 
-// add inserts (or refreshes) a key and reports whether an eviction
-// occurred.
-func (c *lru) add(k cacheKey, v core.Verdict) (evicted bool) {
-	if el, ok := c.byKey[k]; ok {
-		el.Value.(*entry).verdict = v
+// add inserts (or refreshes) an entry and reports whether an eviction
+// occurred. A decision never replaces a certified verdict of the same
+// key (it would throw the certificate away); it only refreshes it.
+func (c *lru) add(ent entry) (evicted bool) {
+	if el, ok := c.byKey[ent.key]; ok {
+		if cur := el.Value.(*entry); !ent.decided || cur.decided {
+			*cur = ent
+		}
 		c.order.MoveToFront(el)
 		return false
 	}
-	c.byKey[k] = c.order.PushFront(&entry{key: k, verdict: v})
+	c.byKey[ent.key] = c.order.PushFront(&ent)
 	if c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)

@@ -59,9 +59,11 @@ type AnalyzeFunc func(ctx context.Context, columns int, set *task.Set, t core.Te
 
 // analyzeOne evaluates test t on set s through analyze when non-nil, or
 // directly otherwise — the single place experiment code dispatches an
-// analysis. Cancellation and evaluator failures surface as the error
-// (a directly-run test records an abort in Verdict.Err, which is
-// promoted here so both paths fail identically).
+// analysis. Experiments read only the decision, so the direct path runs
+// core.Decide and builds no certificate values. Cancellation and
+// evaluator failures surface as the error (a directly-run test records
+// an abort in Verdict.Err, which is promoted here so both paths fail
+// identically).
 func analyzeOne(ctx context.Context, analyze AnalyzeFunc, columns int, s *task.Set, t core.Test) (core.Verdict, error) {
 	var v core.Verdict
 	if analyze != nil {
@@ -70,7 +72,7 @@ func analyzeOne(ctx context.Context, analyze AnalyzeFunc, columns int, s *task.S
 			return core.Verdict{}, err
 		}
 	} else {
-		v = t.Analyze(ctx, core.NewDevice(columns), s)
+		v = core.Decide(ctx, t, core.NewDevice(columns), s)
 	}
 	return v, v.Err
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"fpgasched/api"
 	"fpgasched/internal/cluster"
+	"fpgasched/internal/core"
 	"fpgasched/internal/engine"
 	"fpgasched/internal/task"
 	"fpgasched/internal/workload"
@@ -325,5 +327,47 @@ func TestMetricsRouteCountersConcurrent(t *testing.T) {
 	}
 	if m.HTTP["healthz"].Errors != 0 {
 		t.Fatalf("healthz errors = %d, want 0", m.HTTP["healthz"].Errors)
+	}
+}
+
+// TestCacheLookupUpgradesDecision: a non-explain analysis caches only
+// the decision, so a peer's lookup of that key — which must return a
+// full certificate for the peer to cache — certifies it with one exact
+// replay; an explain request afterwards is a plain cache hit.
+func TestCacheLookupUpgradesDecision(t *testing.T) {
+	srv, ts := newTestServer(t)
+	set := workload.Table2()
+	abody := fmt.Sprintf(`{"columns":10,"taskset":%s}`, setJSON(t, set))
+	if resp := doJSON(t, "POST", ts.URL+"/v1/analyze", abody, nil); resp.StatusCode != 200 {
+		t.Fatalf("analyze status %d", resp.StatusCode)
+	}
+	body := fmt.Sprintf(`{"columns":10,"test":"any-nf","fingerprint":%q}`, set.Fingerprint().String())
+	var hit api.CacheLookupResponse
+	if resp := doJSON(t, "POST", ts.URL+"/v1/cache/lookup", body, &hit); resp.StatusCode != 200 || !hit.Hit {
+		t.Fatalf("lookup = %d %+v, want hit", resp.StatusCode, hit)
+	}
+	perm := set.CanonicalPerm()
+	canon := &task.Set{Tasks: make([]task.Task, len(perm))}
+	for pos, orig := range perm {
+		canon.Tasks[pos] = set.Tasks[orig]
+	}
+	want, err := json.Marshal(api.VerdictFromCore(core.ForNF().Analyze(context.Background(), core.NewDevice(10), canon), true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := json.Marshal(hit.Verdict); err != nil || string(got) != string(want) {
+		t.Fatalf("lookup certificate:\n got %s\nwant %s", got, want)
+	}
+	if st := srv.engine.Stats(); st.Analyses != 2 || st.Upgrades != 1 {
+		t.Fatalf("analyses=%d upgrades=%d, want 2 and 1", st.Analyses, st.Upgrades)
+	}
+	ebody := fmt.Sprintf(`{"columns":10,"explain":true,"taskset":%s}`, setJSON(t, set))
+	if resp := doJSON(t, "POST", ts.URL+"/v1/analyze", ebody, nil); resp.StatusCode != 200 {
+		t.Fatalf("explain status %d", resp.StatusCode)
+	}
+	var m api.MetricsResponse
+	doJSON(t, "GET", ts.URL+"/metrics", "", &m)
+	if m.Engine.Analyses != 2 || m.Engine.EvidenceUpgrades != 1 {
+		t.Fatalf("metrics analyses=%d evidence_upgrades=%d, want 2 and 1", m.Engine.Analyses, m.Engine.EvidenceUpgrades)
 	}
 }

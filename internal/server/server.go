@@ -563,7 +563,10 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeInvalidRequest, "%v", err))
 		return
 	}
-	v, ok := s.engine.PeekCanonical(t.Name(), req.Columns, fp)
+	// The peer reconstructs and caches a full certificate, so a
+	// decision-only entry is upgraded (one exact replay) before it is
+	// served.
+	v, ok := s.engine.PeekCanonical(r.Context(), t.Name(), req.Columns, fp, true)
 	if s.fleet != nil {
 		s.fleet.RecordLookupServed(ok)
 	}
@@ -696,7 +699,7 @@ func (s *Server) analyzeSets(ctx context.Context, columns int, sets []*task.Set,
 func (s *Server) clusterVerdict(ctx context.Context, r engine.Request, explain bool) (api.Verdict, bool, bool) {
 	perm := r.Set.CanonicalPerm()
 	fp := r.Set.FingerprintFromPerm(perm)
-	if v, ok := s.engine.PeekCanonical(r.Test.Name(), r.Columns, fp); ok {
+	if v, ok := s.engine.PeekCanonical(ctx, r.Test.Name(), r.Columns, fp, explain); ok {
 		v = engine.RemapVerdict(v, perm, !explain)
 		return api.VerdictFromCore(v, explain), v.Schedulable, true
 	}

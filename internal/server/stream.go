@@ -30,6 +30,7 @@ import (
 	"errors"
 	"net/http"
 	"sync"
+	"time"
 
 	"fpgasched/api"
 	"fpgasched/internal/task"
@@ -48,7 +49,8 @@ func (s *Server) handleAnalyzeStream(w http.ResponseWriter, r *http.Request) {
 	// by design. Errors are ignored — recorders and non-HTTP/1.x
 	// transports that don't support the knob still work for the finite
 	// read-then-write case.
-	_ = http.NewResponseController(w).EnableFullDuplex()
+	rc := http.NewResponseController(w)
+	_ = rc.EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 
@@ -128,16 +130,35 @@ func (s *Server) handleAnalyzeStream(w http.ResponseWriter, r *http.Request) {
 	// Writer: the handler goroutine drains results onto the wire,
 	// flushing after every line so verdicts reach the client as they
 	// complete, not when the batch ends.
+	//
+	// The handler returns only once the reader goroutine has exited
+	// (results is closed after it returns) and it has closed the body
+	// itself. net/http reads the same connection as soon as the handler
+	// returns — it drains the unread body, then watches for the next
+	// request — and a read still in flight in the reader goroutine, or
+	// one net/http starts behind its own cleanup, panics with "invalid
+	// concurrent Body.Read call".
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	failed := false
 	for res := range results {
+		if failed {
+			continue
+		}
 		if err := enc.Encode(res); err != nil {
-			return // client gone; ctx cancellation unwinds the rest
+			// Client gone. Unblock a read the client will never
+			// satisfy; ctx cancellation unwinds the analyses.
+			failed = true
+			_ = rc.SetReadDeadline(time.Now())
+			continue
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+	// Drain (or give up on) whatever body the reader left unread while
+	// the handler still owns the connection.
+	_ = r.Body.Close()
 }
 
 // analyzeStreamLine parses, validates and analyses one NDJSON request

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -320,5 +322,107 @@ func TestAnalyzeStreamUncappedLineExceedsScannerDefault(t *testing.T) {
 	}
 	if r := byIndex[1]; r.Error != nil || !r.Result.Schedulable {
 		t.Errorf("following line = %+v, want schedulable", r)
+	}
+}
+
+// panicLog collects the http.Server error log, where net/http reports
+// the panics it recovers on a connection.
+type panicLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *panicLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *panicLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// newLoggedStreamServer starts srv on a real listener whose error log
+// is captured.
+func newLoggedStreamServer(t *testing.T, srv *Server) (*httptest.Server, *panicLog) {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(srv)
+	pl := &panicLog{}
+	ts.Config.ErrorLog = log.New(pl, "", 0)
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	return ts, pl
+}
+
+// TestAnalyzeStreamEarlyEndNoConcurrentRead is the regression test for
+// the "invalid concurrent Body.Read call" panic: the handler used to
+// return while its request body was still unread — after a framing
+// failure, or with its reader goroutine still inside Body.Read after
+// the client vanished — and net/http's own reads of the connection then
+// raced the unread body. Two clients keep sending after the handler is
+// done with them: one whose oversized line ends the stream, and one
+// that disconnects mid-stream. Neither may make the server panic.
+func TestAnalyzeStreamEarlyEndNoConcurrentRead(t *testing.T) {
+	srv := New(Config{MaxBodyBytes: 512, EngineConfig: engine.Config{Workers: 1}})
+	ts, pl := newLoggedStreamServer(t, srv)
+	line := streamLine(t, 10, []string{"GN2"})
+	big := `{"columns":10,"taskset":{"tasks":[` + strings.Repeat(`{"c":"1","d":"2","t":"2","a":1},`, 40) + `]}}` + "\n"
+
+	// A client that keeps sending after the line that ends the stream.
+	t.Run("framing", func(t *testing.T) {
+		body := line + big + strings.Repeat(line, 50)
+		resp, err := http.Post(ts.URL+"/v1/analyze/stream", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := parseStream(t, resp.Body)
+		resp.Body.Close()
+		if last := results[len(results)-1]; last.Error == nil || last.Error.Code != api.CodeBodyTooLarge {
+			t.Fatalf("last result = %+v, want body_too_large", last)
+		}
+	})
+
+	// A client that reads one result, then disconnects while its body
+	// writer is still sending.
+	t.Run("disconnect", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		pr, pw := io.Pipe()
+		go func() {
+			for {
+				if _, err := io.WriteString(pw, line); err != nil {
+					return
+				}
+			}
+		}()
+		defer pw.Close()
+		req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/analyze/stream", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res api.StreamResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		resp.Body.Close()
+	})
+
+	// The server notices the disconnect asynchronously; wait for the
+	// handler to finish before reading the log.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.engine.Stats().InFlight > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	ts.CloseClientConnections()
+	time.Sleep(20 * time.Millisecond)
+	if out := pl.String(); strings.Contains(out, "panic") {
+		t.Fatalf("server panicked:\n%s", out)
 	}
 }

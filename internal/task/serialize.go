@@ -70,17 +70,56 @@ func (t *Task) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MarshalJSON implements json.Marshaler for Set.
-func (s *Set) MarshalJSON() ([]byte, error) {
+// wire returns the set's wire form.
+func (s *Set) wire() jsonSet {
 	out := jsonSet{Tasks: make([]jsonTask, len(s.Tasks))}
 	for i, t := range s.Tasks {
 		out.Tasks[i] = jsonTask{Name: t.Name, C: t.C.String(), D: t.D.String(), T: t.T.String(), A: t.A}
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return out
 }
 
-// UnmarshalJSON implements json.Unmarshaler for Set.
+// MarshalJSON implements json.Marshaler for Set. The output is the
+// compact encoding of the wire form (an enclosing encoder re-formats it
+// anyway; WriteJSON indents).
+func (s *Set) MarshalJSON() ([]byte, error) {
+	return appendWireSet(make([]byte, 0, 64*len(s.Tasks)+16), s.Tasks)
+}
+
+// UnmarshalJSON implements json.Unmarshaler for Set. The canonical
+// wire shape is parsed in one reflection-free pass (parseWireSet). Any
+// other input — and any input with a field that does not parse — is
+// decoded strictly task by task, which is also what gives every error
+// its "tasks[i]:" prefix.
 func (s *Set) UnmarshalJSON(data []byte) error {
+	if wire, ok := parseWireSet(data); ok {
+		tasks := make([]Task, len(wire))
+		if fromJSONTasks(wire, tasks) {
+			s.Tasks = tasks
+			return nil
+		}
+	}
+	return s.unmarshalPerTask(data)
+}
+
+// fromJSONTasks converts decoded wire tasks into out, reporting false
+// at the first field that does not parse.
+func fromJSONTasks(in []jsonTask, out []Task) bool {
+	for i, jt := range in {
+		c, err1 := timeunit.Parse(jt.C)
+		d, err2 := timeunit.Parse(jt.D)
+		t, err3 := timeunit.Parse(jt.T)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return false
+		}
+		out[i] = Task{Name: jt.Name, C: c, D: d, T: t, A: jt.A}
+	}
+	return true
+}
+
+// unmarshalPerTask decodes the set one task at a time, each task
+// strictly.
+func (s *Set) unmarshalPerTask(data []byte) error {
 	var js struct {
 		Tasks []json.RawMessage `json:"tasks"`
 	}
@@ -98,7 +137,7 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 
 // WriteJSON writes the set to w as indented JSON.
 func (s *Set) WriteJSON(w io.Writer) error {
-	data, err := s.MarshalJSON()
+	data, err := json.MarshalIndent(s.wire(), "", "  ")
 	if err != nil {
 		return err
 	}

@@ -148,3 +148,21 @@ func TestJSONRejectsUnknownFields(t *testing.T) {
 		t.Error("unknown set field must be rejected")
 	}
 }
+
+func BenchmarkSetUnmarshalJSON(b *testing.B) {
+	s := &Set{}
+	for i := 0; i < 60; i++ {
+		s.Tasks = append(s.Tasks, New("t", "1.26", "7", "7", 1+i%9))
+	}
+	data, err := json.Marshal(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var out Set
+		if err := out.UnmarshalJSON(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -12,10 +12,12 @@
 package timeunit
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 	"strings"
 )
 
@@ -85,25 +87,24 @@ func (t Time) Units() int64 { return int64(t) / TicksPerUnit }
 // String formats t as a decimal number of time units with trailing zeros
 // trimmed, e.g. Time(12600) -> "1.26".
 func (t Time) String() string {
-	neg := t < 0
-	v := int64(t)
-	if neg {
-		v = -v
+	var buf [24]byte
+	b := buf[:0]
+	v := uint64(t)
+	if t < 0 {
+		b = append(b, '-')
+		v = -v // two's-complement magnitude, exact even for MinInt64
 	}
-	whole := v / TicksPerUnit
-	frac := v % TicksPerUnit
-	var b strings.Builder
-	if neg {
-		b.WriteByte('-')
+	b = strconv.AppendUint(b, v/TicksPerUnit, 10)
+	if frac := v % TicksPerUnit; frac != 0 {
+		var digits [decimalDigits]byte
+		for i := decimalDigits - 1; i >= 0; i-- {
+			digits[i] = byte('0' + frac%10)
+			frac /= 10
+		}
+		b = append(b, '.')
+		b = append(b, bytes.TrimRight(digits[:], "0")...)
 	}
-	fmt.Fprintf(&b, "%d", whole)
-	if frac != 0 {
-		s := fmt.Sprintf("%0*d", decimalDigits, frac)
-		s = strings.TrimRight(s, "0")
-		b.WriteByte('.')
-		b.WriteString(s)
-	}
-	return b.String()
+	return string(b)
 }
 
 // Parse converts a decimal string such as "1.26" or "-0.5" to ticks.
