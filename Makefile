@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-serve bench-admit crash-smoke serve fmt vet check clean integration experiments-smoke
+.PHONY: build test race bench bench-serve bench-admit crash-smoke serve fmt vet check clean integration experiments-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -83,11 +83,17 @@ integration: ## api golden-file wire tests + client<->server end-to-end
 	$(GO) test ./api/ ./client/ -count=1
 	$(GO) build ./examples/...
 
+# perfbench is a nested module (replace fpgasched => ../), so the root
+# ./... patterns never build it; vet and test it on its own.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 experiments-smoke: ## quick local evaluation pass + local/remote parity
 	$(GO) run ./cmd/experiments -samples 10 fig3b
 	$(GO) test ./cmd/experiments/ -run TestRemoteParity -count=1
 
-check: vet build race integration
+check: vet build race integration perfbench-check
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
 	$(GO) test ./internal/server/ -run TestWarmSpeedup -count=1
 

@@ -30,12 +30,12 @@ type EngineStats struct {
 	CacheLen int `json:"cache_len"`
 	CacheCap int `json:"cache_cap"`
 	Workers  int `json:"workers"`
-	// Screen reports whether the kernels' certified interval pre-filter
-	// is enabled; ScreenDecided/ScreenEscalated aggregate, over
-	// completed analyses, the bounds it disposed of without exact
-	// arithmetic vs the bounds escalated to the exact kernel. Both
-	// counters stay zero (and are omitted) when the screen is off
-	// (additive v1 fields).
+	// Screen is deprecated and always true: the kernels' certified
+	// interval pre-filter can no longer be switched off. It stays on the
+	// wire so the v1 schema remains additive. ScreenDecided and
+	// ScreenEscalated aggregate, over completed analyses, the bounds the
+	// pre-filter disposed of without exact arithmetic vs the bounds
+	// escalated to the exact kernel (additive v1 fields).
 	Screen          bool   `json:"screen"`
 	ScreenDecided   uint64 `json:"screen_decided,omitempty"`
 	ScreenEscalated uint64 `json:"screen_escalated,omitempty"`
@@ -70,7 +70,7 @@ func EngineStatsFrom(s engine.Stats) EngineStats {
 		CacheLen:         s.CacheLen,
 		CacheCap:         s.CacheCap,
 		Workers:          s.Workers,
-		Screen:           s.Screen,
+		Screen:           true,
 		ScreenDecided:    s.ScreenDecided,
 		ScreenEscalated:  s.ScreenEscalated,
 	}

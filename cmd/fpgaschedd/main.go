@@ -103,7 +103,6 @@ func run(args []string, ready chan<- string) int {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", engine.DefaultWorkers, "analysis worker pool size")
 	sweepWorkers := fs.Int("sweep-workers", 0, "per-analysis λ-sweep parallelism (0 serial, -1 all CPUs); CPU use is up to workers x sweep-workers")
-	screen := fs.Bool("screen", true, "certified float interval pre-filter in the exact kernels (verdict-invariant; disable to benchmark the pure exact path)")
 	cache := fs.Int("cache", engine.DefaultCacheSize, "verdict cache entries (negative disables)")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "request body limit in bytes (negative disables)")
 	maxTasks := fs.Int("max-tasks", server.DefaultMaxTasks, "tasks per analysed/simulated set (negative disables)")
@@ -163,7 +162,7 @@ func run(args []string, ready chan<- string) int {
 
 	srv := server.New(server.Config{
 		Fleet:                fleet,
-		EngineConfig:         engine.Config{Workers: *workers, CacheSize: *cache, SweepWorkers: *sweepWorkers, DisableScreen: !*screen},
+		EngineConfig:         engine.Config{Workers: *workers, CacheSize: *cache, SweepWorkers: *sweepWorkers},
 		MaxBodyBytes:         *maxBody,
 		MaxTasks:             *maxTasks,
 		MaxBatch:             *maxBatch,

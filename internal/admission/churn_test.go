@@ -153,6 +153,13 @@ func churnCompare(t *testing.T, label string, columns int, pool []task.Task, see
 	return st
 }
 
+// gn2PinnedHits and gn2PinnedFullRuns are the GN2-only churn runs'
+// routing totals over the generated corpus.
+const (
+	gn2PinnedHits     = 1411
+	gn2PinnedFullRuns = 8312
+)
+
 func TestChurnDifferentialGenerated(t *testing.T) {
 	profiles := []func(int) workload.Profile{
 		workload.Unconstrained,
@@ -167,7 +174,7 @@ func TestChurnDifferentialGenerated(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			sets := 0
-			var agg Stats
+			var agg, gn2 Stats
 			for pi, pf := range profiles {
 				for seed := uint64(1); seed <= 120; seed++ {
 					for si, n := range sizes {
@@ -187,6 +194,8 @@ func TestChurnDifferentialGenerated(t *testing.T) {
 								screen, 1, core.GN2Test{})
 							agg.IncrementalHits += st.IncrementalHits
 							agg.FullRuns += st.FullRuns
+							gn2.IncrementalHits += st.IncrementalHits
+							gn2.FullRuns += st.FullRuns
 						}
 						sets++
 					}
@@ -197,6 +206,16 @@ func TestChurnDifferentialGenerated(t *testing.T) {
 			}
 			if agg.IncrementalHits == 0 {
 				t.Fatal("the incremental path never served a single analysis over the whole corpus")
+			}
+			// DP's admit state always certifies, so the aggregate above
+			// would pass even if GN2's never did. The GN2-only runs pin
+			// its routing exactly: how many requests its admit state
+			// served and how many fell back to a full run. The counts do
+			// not depend on the screen, which never changes which
+			// candidates a scan visits.
+			if gn2.IncrementalHits != gn2PinnedHits || gn2.FullRuns != gn2PinnedFullRuns {
+				t.Fatalf("GN2-only routing moved: %d incremental hits / %d full runs, want %d / %d",
+					gn2.IncrementalHits, gn2.FullRuns, gn2PinnedHits, gn2PinnedFullRuns)
 			}
 			t.Logf("incremental ≡ from-scratch over churn on %d generated tasksets (%d incremental hits, %d full runs)",
 				sets, agg.IncrementalHits, agg.FullRuns)

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"testing"
 
+	"fpgasched/internal/rat"
 	"fpgasched/internal/task"
 )
 
@@ -139,46 +140,61 @@ func TestGN2LambdaKWithConstrainedDeadline(t *testing.T) {
 func TestGN2BetaCases(t *testing.T) {
 	g := GN2Test{}
 	dk := task.Task{Name: "k", C: 20000, D: 100000, T: 100000, A: 1} // Dk = 10
+	// β of ti against the analysed task dk, from the pipeline's β.
+	beta := func(g GN2Test, ti task.Task, lambda *big.Rat) *big.Rat {
+		return pipelineBeta(g, task.NewSet(ti, dk), 0, 1, lambda)
+	}
 	// Case 1: ui ≤ λ, implicit deadline: β = ui.
 	ti := task.Task{C: 20000, D: 100000, T: 100000, A: 1} // u = 0.2
-	if got := g.beta(ti, dk, big.NewRat(1, 2)); got.Cmp(big.NewRat(1, 5)) != 0 {
+	if got := beta(g, ti, big.NewRat(1, 2)); got.Cmp(big.NewRat(1, 5)) != 0 {
 		t.Errorf("case1 implicit: β = %s, want 1/5", got.RatString())
 	}
 	// Case 1 with Ti > Di: β = ui·(1 + (Ti−Di)/Dk).
 	tiCon := task.Task{C: 20000, D: 50000, T: 100000, A: 1} // u=0.2, D=5, T=10
 	// β = 0.2·(1 + 5/10) = 0.3.
-	if got := g.beta(tiCon, dk, big.NewRat(1, 2)); got.Cmp(big.NewRat(3, 10)) != 0 {
+	if got := beta(g, tiCon, big.NewRat(1, 2)); got.Cmp(big.NewRat(3, 10)) != 0 {
 		t.Errorf("case1 constrained: β = %s, want 3/10", got.RatString())
 	}
 	// Case 3: ui > λ and λ < Ci/Di: β = ui + (Ci − λ·Di)/Dk.
 	tiHeavy := task.Task{C: 60000, D: 100000, T: 100000, A: 1} // u = 0.6
 	lambda := big.NewRat(1, 4)
 	// β = 0.6 + (6 − 0.25·10)/10 = 0.6 + 0.35 = 0.95.
-	if got := g.beta(tiHeavy, dk, lambda); got.Cmp(big.NewRat(19, 20)) != 0 {
+	if got := beta(g, tiHeavy, lambda); got.Cmp(big.NewRat(19, 20)) != 0 {
 		t.Errorf("case3: β = %s, want 19/20", got.RatString())
 	}
 	// Case 2 (middle): needs Di > Ti so that Ci/Di < λ < Ci/Ti.
 	tiPost := task.Task{C: 60000, D: 200000, T: 100000, A: 1} // u=0.6, dens=0.3
 	lambda2 := big.NewRat(2, 5)                               // 0.3 ≤ 0.4 < 0.6
 	// Printed value: Ck/Tk = 2/10 = 1/5.
-	if got := g.beta(tiPost, dk, lambda2); got.Cmp(big.NewRat(1, 5)) != 0 {
+	if got := beta(g, tiPost, lambda2); got.Cmp(big.NewRat(1, 5)) != 0 {
 		t.Errorf("case2 printed: β = %s, want 1/5 (Ck/Tk)", got.RatString())
 	}
 	gBaker := GN2Test{Options: GN2Options{CaseTwoBaker: true}}
 	// Baker-consistent alternative: Ci/Di = 6/20 = 3/10.
-	if got := gBaker.beta(tiPost, dk, lambda2); got.Cmp(big.NewRat(3, 10)) != 0 {
+	if got := beta(gBaker, tiPost, lambda2); got.Cmp(big.NewRat(3, 10)) != 0 {
 		t.Errorf("case2 baker: β = %s, want 3/10 (Ci/Di)", got.RatString())
 	}
 }
 
 func TestLambdaCandidates(t *testing.T) {
 	s := task.NewSet(
+		task.Task{C: 10000, D: 100000, T: 100000, A: 1}, // u = 1/10
 		task.Task{C: 20000, D: 100000, T: 100000, A: 1}, // u = 1/5
 		task.Task{C: 30000, D: 200000, T: 100000, A: 1}, // u = 3/10, dens = 3/20 (D>T)
 		task.Task{C: 20000, D: 100000, T: 100000, A: 1}, // duplicate u = 1/5
 	)
-	uk := big.NewRat(1, 10)
-	got := lambdaCandidates(s, uk)
+	sw := GN2Test{}.newSweep(s, rat.One, rat.One, true)
+	sc := sw.newScratch()
+	// Task k's valid candidates, as the pipeline scans them.
+	candidates := func(k int) []*big.Rat {
+		sw.prepare(k, sc)
+		var out []*big.Rat
+		for _, c := range sc.cands[sc.lo:sc.validEnd()] {
+			out = append(out, c.Rat())
+		}
+		return out
+	}
+	got := candidates(0)
 	want := []*big.Rat{big.NewRat(1, 10), big.NewRat(3, 20), big.NewRat(1, 5), big.NewRat(3, 10)}
 	if len(got) != len(want) {
 		t.Fatalf("candidates = %v, want %v", got, want)
@@ -188,10 +204,13 @@ func TestLambdaCandidates(t *testing.T) {
 			t.Errorf("candidate %d = %s, want %s", i, got[i].RatString(), want[i].RatString())
 		}
 	}
-	// With a floor above some candidates, they are excluded.
-	got2 := lambdaCandidates(s, big.NewRat(1, 4))
-	if len(got2) != 2 { // {1/4, 3/10}
-		t.Errorf("floored candidates = %v, want [1/4, 3/10]", got2)
+	// A task's list starts at its own utilization: smaller candidates
+	// are excluded.
+	if got := candidates(1); len(got) != 2 { // {1/5, 3/10}
+		t.Errorf("task 1 candidates = %v, want [1/5, 3/10]", got)
+	}
+	if got := candidates(2); len(got) != 1 { // {3/10}
+		t.Errorf("task 2 candidates = %v, want [3/10]", got)
 	}
 }
 

@@ -198,13 +198,6 @@ func (g GN1Test) screenTask(s *task.Set, k int, slack, rhs rat.R) (ok, decided b
 	return false, false
 }
 
-// checkTask is the historical per-task entry point (big.Rat surface),
-// kept for tests that probe a single inequality.
-func (g GN1Test) checkTask(dev Device, s *task.Set, k int) (lhs, rhs *big.Rat, ok bool) {
-	var acc rat.Acc
-	return g.checkTaskR(dev, s, k, &acc, nil, true)
-}
-
 // gn1BetaR computes βi, the normalised worst-case interference ratio
 // that task ti can contribute inside τk's scheduling window (Lemma 4):
 // the deadlines of ti and τk are aligned, Ni full jobs of ti fit in the
@@ -235,10 +228,4 @@ func gn1BetaFrac(ti, tk task.Task, variant GN1Variant) (num, den int64) {
 		den = int64(tk.D)
 	}
 	return ni*int64(ti.C) + carry, den
-}
-
-// gn1Beta is gn1BetaR on the big.Rat surface, kept for the Table-3
-// walkthrough test.
-func gn1Beta(ti, tk task.Task, variant GN1Variant) *big.Rat {
-	return gn1BetaR(ti, tk, variant).Rat()
 }

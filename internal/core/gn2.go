@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/big"
 	"math/bits"
 	"sort"
 	"sync"
@@ -104,8 +103,8 @@ func (g GN2Test) Name() string {
 
 // Analyze implements Test. The λ sweep is the O(N³) heart of the test
 // (N candidates × N tasks × O(N) sum per condition), so cancellation is
-// polled inside checkTask's candidate loop: a disconnected client
-// aborts a large analysis mid-sweep, not after it.
+// polled inside the candidate scan: a disconnected client aborts a
+// large analysis mid-sweep, not after it.
 //
 // The per-task sweeps are independent, so when the context carries a
 // sweep-worker budget (WithSweepWorkers; the engine threads
@@ -201,8 +200,8 @@ func (g GN2Test) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 // gn2Sweep holds everything about one (device, taskset) sweep that is
 // shared by — and immutable across — all per-task checks: the exact
 // per-task utilizations, densities and areas, the device bounds, and
-// the global sorted λ candidate list. Sweep workers read it
-// concurrently.
+// the global sorted λ candidate list with its β case thresholds. Sweep
+// workers read it concurrently.
 type gn2Sweep struct {
 	g             GN2Test
 	s             *task.Set
@@ -213,11 +212,14 @@ type gn2Sweep struct {
 	dens          []rat.R // Ci/Di
 	area          []rat.R // Ai
 	cands         []rat.R // sorted, deduplicated {Ci/Ti} ∪ {Ci/Di : Di > Ti}
+	// candU[i] / candD[i] are the first indices of cands with λ ≥ Ci/Ti
+	// and λ ≥ Ci/Di: the β case thresholds against the global list.
+	// Task k's candidates start at candU[k].
+	candU, candD []int
 
 	// Interval-screen state (initScreen; nil/false when the screen is
 	// off): certified float64 enclosures of the sweep invariants, so the
-	// screened candidate loop touches no exact arithmetic beyond the λk
-	// range check until a candidate straddles a bound.
+	// screen stages touch no exact arithmetic.
 	screen         bool
 	stats          *ScreenStats
 	fui            []interval.I // encloses ui
@@ -228,11 +230,6 @@ type gn2Sweep struct {
 	fabnd          interval.I
 	famin          interval.I
 	fabndMinusAmin interval.I
-	// candU[i] / candD[i] are the first indices of cands with λ ≥ Ci/Ti
-	// and λ ≥ Ci/Di: the β case thresholds against the global list
-	// (nil under ExtendedLambdaSearch, whose per-task lists are merged
-	// rather than suffixes). Task k's list starts at candU[k].
-	candU, candD []int
 }
 
 // newSweep precomputes the sweep invariants: per-task rationals once
@@ -253,6 +250,8 @@ func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R, evidence bool) *gn2Swee
 		dens:          make([]rat.R, n),
 		area:          make([]rat.R, n),
 		cands:         make([]rat.R, 0, 2*n),
+		candU:         make([]int, n),
+		candD:         make([]int, n),
 	}
 	for i, ti := range s.Tasks {
 		sw.ui[i] = rat.FromFrac(int64(ti.C), int64(ti.T))
@@ -264,12 +263,16 @@ func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R, evidence bool) *gn2Swee
 		}
 	}
 	sw.cands = sortDedupR(sw.cands)
+	for i := range sw.ui {
+		sw.candU[i] = lowerBoundR(sw.cands, sw.ui[i])
+		sw.candD[i] = lowerBoundR(sw.cands, sw.dens[i])
+	}
 	return sw
 }
 
-// initScreen switches the sweep onto the interval-screened path and
+// initScreen switches on the pipeline's two screen stages and
 // precomputes float64 enclosures of every sweep invariant. Counters are
-// flushed to stats (which may be nil) once per task check.
+// flushed to stats (which may be nil) once per task.
 func (sw *gn2Sweep) initScreen(stats *ScreenStats) {
 	sw.screen = true
 	sw.stats = stats
@@ -289,157 +292,351 @@ func (sw *gn2Sweep) initScreen(stats *ScreenStats) {
 	sw.fabnd = interval.FromRat(sw.abnd)
 	sw.famin = interval.FromRat(sw.amin)
 	sw.fabndMinusAmin = interval.FromRat(sw.abndMinusAmin)
-	if !sw.g.Options.ExtendedLambdaSearch {
-		sw.candU = make([]int, n)
-		sw.candD = make([]int, n)
-		for i := range sw.ui {
-			sw.candU[i] = lowerBoundR(sw.cands, sw.ui[i])
-			sw.candD[i] = lowerBoundR(sw.cands, sw.dens[i])
-		}
-	}
 }
 
-// gn2Scratch is the per-worker reusable state: the λ-independent
-// case-1 βs of the task under analysis, the extended-search candidate
-// buffer, and the exact sum accumulators. Nothing in it survives a
-// task check except its capacity.
+// gn2Scratch is one worker's pipeline state for the task it is
+// checking (set by prepare) plus reusable buffers. Nothing in it
+// survives to the next task except capacity.
 type gn2Scratch struct {
-	b1         []rat.R // case-1 β per interfering task, for the current k
-	cand       []rat.R // extended-search candidate merge buffer
-	sum1, sum2 *rat.Acc
-	last       *rat.Acc // condition-2 LHS of the last tried candidate
+	k      int
+	dk     int64
+	scaled bool  // Tk > Dk, so λk = λ·mK
+	mK     rat.R // Tk/Dk when scaled
+	// cands is task k's candidate list (the global list, or under the
+	// extended search a per-task merge) and lo the index of its first
+	// candidate Ck/Tk. thrU[i] / thrD[i] are the first indices of cands
+	// with λ ≥ Ci/Ti and λ ≥ Ci/Di: the list is sorted, so the screen's
+	// β case selection is an integer comparison, bit-identical to the
+	// exact comparisons.
+	cands      []rat.R
+	lo         int
+	thrU, thrD []int
 
-	// Screened-path scratch: enclosures of the hoisted case-1 βs and,
-	// per interfering task, the first candidate index at which the β
-	// case switches (the candidate list is sorted, so the exact
-	// per-term case comparisons collapse to two index thresholds — the
-	// sweep's global candU/candD shifted to task k's suffix, or under
-	// the extended search one binary search each per task).
-	fb1  []interval.I
-	thrU []int // first candidate index with λ >= Ci/Ti (case 1)
-	thrD []int // first candidate index with λ >= Ci/Di (middle case)
+	// Rows of the case-1 β per interfering task, filled on first use:
+	// the exact row when task k first escalates to evalCandidate, the
+	// enclosures when it is first screened. A recheck that never gets
+	// that far pays for neither.
+	b1          []rat.R
+	fb1         []interval.I
+	b1ok, fb1ok bool
+
+	decided, escalated uint64 // screen counters, flushed per task
+
+	sum1, sum2 *rat.Acc
+	last       *rat.Acc // condition-2 LHS of the last exact-evaluated candidate
+	lastRHS    rat.R    // and its RHS
+	lastIdx    int      // its index in cands, -1 before any
+
+	ext    []rat.R // extended-search candidate merge buffer
+	extThr []int   // extended-search thresholds (thrU then thrD)
 }
 
 func (sw *gn2Sweep) newScratch() *gn2Scratch {
+	n := len(sw.s.Tasks)
 	sc := &gn2Scratch{
-		b1:   make([]rat.R, len(sw.s.Tasks)),
+		b1:   make([]rat.R, n),
 		sum1: new(rat.Acc),
 		sum2: new(rat.Acc),
 		last: new(rat.Acc),
 	}
 	if sw.screen {
-		n := len(sw.s.Tasks)
 		sc.fb1 = make([]interval.I, n)
-		sc.thrU = make([]int, n)
-		sc.thrD = make([]int, n)
+	}
+	if sw.g.Options.ExtendedLambdaSearch {
+		sc.extThr = make([]int, 2*n)
 	}
 	return sc
 }
 
-// check dispatches one task check to the screened or exact sweep.
-func (sw *gn2Sweep) check(ctx context.Context, k int, sc *gn2Scratch) (BoundCheck, error) {
-	if sw.screen {
-		return sw.checkTaskScreened(ctx, k, sc)
+// prepare points sc at task k. It is O(1) exact work — the case-1 rows
+// and the end of the valid range are computed on demand — except under
+// the extended search, whose merged candidate list is built from the
+// exact case-1 row up front.
+func (sw *gn2Sweep) prepare(k int, sc *gn2Scratch) {
+	tk := sw.s.Tasks[k]
+	sc.k, sc.dk = k, int64(tk.D)
+	sc.scaled = tk.T > tk.D
+	if sc.scaled {
+		sc.mK = rat.FromFrac(int64(tk.T), int64(tk.D))
 	}
-	return sw.checkTask(ctx, k, sc)
+	sc.b1ok, sc.fb1ok = false, false
+	sc.decided, sc.escalated, sc.lastIdx = 0, 0, -1
+	sc.cands, sc.lo, sc.thrU, sc.thrD = sw.cands, sw.candU[k], sw.candU, sw.candD
+	if !sw.g.Options.ExtendedLambdaSearch {
+		return
+	}
+	sw.fillB1(sc)
+	sc.cands, sc.lo = sw.extendedCandidatesFor(sc, sw.cands[sw.candU[k]:]), 0
+	n := len(sw.ui)
+	sc.thrU, sc.thrD = sc.extThr[:n], sc.extThr[n:]
+	for i := range sw.ui {
+		sc.thrU[i] = lowerBoundR(sc.cands, sw.ui[i])
+		sc.thrD[i] = lowerBoundR(sc.cands, sw.dens[i])
+	}
 }
 
-// checkTask searches the finite λ candidate set for one that satisfies
-// condition 1 or condition 2 for task k. It polls ctx once per
-// candidate (each candidate evaluation is O(N) exact work) and returns
-// ctx's error when cancelled mid-sweep. Heap rationals are allocated
-// only for the returned BoundCheck; every intermediate value lives in
-// sc or on the stack.
-func (sw *gn2Sweep) checkTask(ctx context.Context, k int, sc *gn2Scratch) (BoundCheck, error) {
-	tk := sw.s.Tasks[k]
-	dk := int64(tk.D)
+// flush hands task k's screen counters to the sweep's sink.
+func (sw *gn2Sweep) flush(sc *gn2Scratch) { sw.stats.add(sc.decided, sc.escalated) }
 
-	// Hoisted per-candidate invariants: the case-1 β of every task i is
-	// independent of λ, so it is computed once per (i, k) pair instead
-	// of once per (i, k, λ).
+// fillB1 hoists the λ-independent case-1 βs of task k out of the
+// candidate loop: once per (i, k) pair instead of once per (i, k, λ).
+func (sw *gn2Sweep) fillB1(sc *gn2Scratch) {
+	if sc.b1ok {
+		return
+	}
 	for i, ti := range sw.s.Tasks {
-		sc.b1[i] = gn2CaseOneBeta(ti, sw.ui[i], dk)
+		sc.b1[i] = gn2CaseOneBeta(ti, sw.ui[i], sc.dk)
 	}
+	sc.b1ok = true
+}
 
-	// λk = λ·max(1, Tk/Dk): the multiplier is per-task constant.
-	scaled := tk.T > tk.D
-	var mK rat.R
-	if scaled {
-		mK = rat.FromFrac(int64(tk.T), int64(tk.D))
+// fillFB1 encloses the case-1 row from its unreduced integer fraction,
+// so the screen pays no gcd for it.
+func (sw *gn2Sweep) fillFB1(sc *gn2Scratch) {
+	if sc.fb1ok {
+		return
 	}
+	for i, ti := range sw.s.Tasks {
+		if ti.T <= ti.D {
+			sc.fb1[i] = sw.fui[i]
+		} else if num, den, ok := gn2CaseOneFrac(ti, sc.dk); ok {
+			sc.fb1[i] = interval.FromFrac(num, den)
+		} else {
+			sc.fb1[i] = interval.FromRat(gn2CaseOneBeta(ti, sw.ui[i], sc.dk))
+		}
+	}
+	sc.fb1ok = true
+}
 
-	cands := sw.candidatesFor(k, sc)
-	var lastRHS rat.R
-	lastValid := false
-	for _, lambda := range cands {
-		if err := ctx.Err(); err != nil {
-			return BoundCheck{}, err
-		}
-		lambdaK := lambda
-		if scaled {
-			lambdaK = lambda.Mul(mK)
-		}
-		oneMinus := rat.One.Sub(lambdaK)
-		if oneMinus.Sign() < 0 {
-			// λk > 1 makes the proof's Lemma-9 instantiation (x =
-			// (1−λk)δ > 0) vacuous: condition 1 would degenerate to the
-			// meaningless "ΣAi > Abnd" and certify nothing. Such λ are
-			// outside the theorem's effective range (DESIGN.md item
-			// T3-RANGE, found by the dense-λ completeness test).
-			continue
-		}
-		chk, rhs2, accepted := sw.evalCandidate(k, lambda, oneMinus, sc)
-		if accepted {
+// oneMinus is 1 − λk for task k at λ.
+func (sc *gn2Scratch) oneMinus(lambda rat.R) rat.R {
+	if sc.scaled {
+		lambda = lambda.Mul(sc.mK)
+	}
+	return rat.One.Sub(lambda)
+}
+
+// validEnd returns the end of task k's valid candidates. λk > 1 makes
+// the proof's Lemma-9 instantiation (x = (1−λk)δ > 0) vacuous:
+// condition 1 would degenerate to the meaningless "ΣAi > Abnd" and
+// certify nothing, so such λ are outside the theorem's effective range
+// (DESIGN.md item T3-RANGE, found by the dense-λ completeness test).
+// λk increases along the sorted list, so the valid candidates form a
+// prefix, found by exact binary search.
+func (sc *gn2Scratch) validEnd() int {
+	return sc.lo + sort.Search(len(sc.cands)-sc.lo, func(j int) bool {
+		return sc.oneMinus(sc.cands[sc.lo+j]).Sign() < 0
+	})
+}
+
+// check is the from-scratch driver of the candidate pipeline: it scans
+// task k's whole valid range for the first λ that satisfies condition 1
+// or condition 2. Heap rationals are allocated only for the returned
+// BoundCheck; every intermediate value lives in sc or on the stack.
+func (sw *gn2Sweep) check(ctx context.Context, k int, sc *gn2Scratch) (BoundCheck, error) {
+	sw.prepare(k, sc)
+	defer sw.flush(sc)
+	hi := sc.validEnd()
+	chk, at, err := sw.scan(ctx, sc, sc.lo, hi)
+	if err != nil || at >= 0 || hi <= sc.lo || !sw.evidence {
+		return chk, err
+	}
+	if sc.lastIdx != hi-1 {
+		// No candidate accepted and the last one was screened out — but
+		// the failing certificate carries exactly its condition-2
+		// evidence. Re-derive it with the exact kernel (it migrates from
+		// decided to escalated: its exact values were needed after all).
+		// Acceptance here is impossible for a sound screen, but the exact
+		// kernel keeps authority if it happens.
+		sc.decided--
+		sc.escalated++
+		if chk, ok := sw.evalCandidate(sc, sc.cands[hi-1]); ok {
 			return chk, nil
 		}
-		lastRHS = rhs2
-		lastValid = true
 	}
-	if !lastValid || !sw.evidence {
-		return BoundCheck{}, nil
-	}
-	return BoundCheck{LHS: sc.last.Rat(), RHS: lastRHS.Rat(), Satisfied: false}, nil
+	return BoundCheck{LHS: sc.last.Rat(), RHS: sc.lastRHS.Rat(), Satisfied: false}, nil
 }
 
-// evalCandidate evaluates conditions 1 and 2 exactly for one λ
-// candidate (whose λk ≤ 1 the caller has established). On acceptance it
-// returns the satisfied BoundCheck (just the bit without evidence).
-// Otherwise it parks the condition-2 LHS in sc.last and returns the
-// condition-2 RHS, which together form the failing certificate's
-// evidence if this turns out to be the last candidate. Both the exact
-// and the screened sweep paths funnel through here, so a candidate is
-// evaluated identically no matter how it was reached — the screen
-// cannot perturb certificates.
-func (sw *gn2Sweep) evalCandidate(k int, lambda, oneMinus rat.R, sc *gn2Scratch) (BoundCheck, rat.R, bool) {
-	uk := sw.ui[k]
-	dk := int64(sw.s.Tasks[k].D)
+// gn2RangeBlockMin/Max bound the range screen's block sizes: blocks
+// start at Min (so a failed certification costs at most 1/Min of the
+// per-candidate work that follows), double on success, and cap at Max.
+const (
+	gn2RangeBlockMin = 8
+	gn2RangeBlockMax = 1024
+)
 
-	// One pass accumulates both condition sums exactly; β is
-	// selected per task from the hoisted case-1 value or computed
-	// in-place for the λ-dependent cases.
+// scan runs the candidate pipeline over cands[lo:hi) of the prepared
+// task and returns the first accepting candidate's check and index (-1
+// if none). Each candidate passes through up to three stages:
+//
+//  1. the range screen, which certifies with one interval evaluation
+//     over a block's λ hull that every candidate in the block violates
+//     both conditions (blocks grow while certification succeeds and
+//     reset when it fails, so never-certifiable ranges pay at most one
+//     range evaluation per gn2RangeBlockMin candidates);
+//  2. the point screen, the same certification for one candidate;
+//  3. evalCandidate, the exact kernel, for every candidate neither
+//     screen could dispose of — straddling or certainly satisfied.
+//
+// The screens only ever discard candidates that exactly violate both
+// conditions (the enclosure invariant makes "certainly violated" imply
+// "exactly violated"), and candidates escalate in list order, so the
+// first accepting candidate and its certificate are byte-identical to
+// the screen-off scan, which runs stage 3 alone. ctx is polled once per
+// candidate (each exact evaluation is O(N) work), so a disconnected
+// client aborts a large analysis mid-sweep.
+func (sw *gn2Sweep) scan(ctx context.Context, sc *gn2Scratch, lo, hi int) (BoundCheck, int, error) {
+	block := gn2RangeBlockMin
+	for ci := lo; ci < hi; {
+		if err := ctx.Err(); err != nil {
+			return BoundCheck{}, -1, err
+		}
+		if sw.screen && hi-ci >= block {
+			fLambda := interval.Hull(interval.FromRat(sc.cands[ci]), interval.FromRat(sc.cands[ci+block-1]))
+			fOneMinus := oneIv.Sub(fLambda)
+			if sc.scaled {
+				fOneMinus = oneIv.Sub(interval.FromRat(sc.mK).Mul(fLambda))
+			}
+			if sw.violated(sc, ci, ci+block, fLambda, fOneMinus) {
+				sc.decided += uint64(block)
+				ci += block
+				block = min(2*block, gn2RangeBlockMax)
+				continue
+			}
+		}
+		end := min(ci+block, hi)
+		block = gn2RangeBlockMin
+		for ; ci < end; ci++ {
+			if err := ctx.Err(); err != nil {
+				return BoundCheck{}, -1, err
+			}
+			lambda := sc.cands[ci]
+			if sw.screen && sw.violated(sc, ci, ci+1, interval.FromRat(lambda), interval.FromRat(sc.oneMinus(lambda))) {
+				sc.decided++
+				continue
+			}
+			sc.escalated++
+			if chk, ok := sw.evalCandidate(sc, lambda); ok {
+				return chk, ci, nil
+			}
+			sc.lastIdx = ci
+		}
+	}
+	return BoundCheck{}, -1, nil
+}
+
+// oneIv is condition 2's constant cap as an exact interval.
+var oneIv = interval.Point(1)
+
+// violated is both screen stages: it certifies, with one interval
+// evaluation, that every candidate in cands[lo:hi) violates both
+// conditions for the prepared task, given enclosures fLambda of the
+// block's λ values and fOneMinus of their 1−λk. Each task's β is
+// enclosed by fbeta at the block's cases; a block that straddles a case
+// threshold takes the hull of every case its indices select (the
+// case-3 piece evaluated over the whole λ hull, a superset of its true
+// subrange, which only widens the enclosure). For any λ in the block
+// each exact quantity lies inside its enclosure, so LHS(λ) ≥ lo(sum)
+// and RHS(λ) ≤ hi(rhs); lo(sum) ≥ hi(rhs) for both conditions therefore
+// proves every candidate fails. It can return false negatives (a
+// violating block it cannot certify), never screen out an accepting
+// candidate. Condition 1 is strict "<" (violated ⇔ ≥); condition 2's
+// violation depends on the strictness option.
+func (sw *gn2Sweep) violated(sc *gn2Scratch, lo, hi int, fLambda, fOneMinus interval.I) bool {
+	sw.fillFB1(sc)
+	var s1, s2 interval.Acc
+	for i := range sw.ui {
+		fb := sw.fbeta(sc, i, lo, fLambda)
+		// A single candidate never straddles a threshold.
+		if u, d := sc.thrU[i], sc.thrD[i]; hi-lo > 1 && (lo < u && u < hi || lo < d && d < hi && d < u) {
+			fb = interval.Hull(fb, sw.fbeta(sc, i, hi-1, fLambda))
+			if max(lo, d) < min(hi, u) {
+				fb = interval.Hull(fb, sw.fmid(sc, i))
+			}
+		}
+		s1.AddScaled(sw.farea[i], interval.Min(fb, fOneMinus))
+		s2.AddScaled(sw.farea[i], interval.Min(fb, oneIv))
+	}
+	if !s1.I().AllGreaterEq(sw.fabnd.Mul(fOneMinus)) {
+		return false
+	}
+	frhs2 := sw.fabndMinusAmin.Mul(fOneMinus).Add(sw.famin)
+	if sw.g.Options.CondTwoNonStrict {
+		return s2.I().AllGreater(frhs2)
+	}
+	return s2.I().AllGreaterEq(frhs2)
+}
+
+// fbeta encloses beta at candidate index ci of the prepared task, with
+// λ enclosed by fLambda: the screen's one β case selector. It runs once
+// per term of every screen evaluation, so the case-1 lookup is kept
+// small enough to inline and the other cases sit in fbetaBelow.
+func (sw *gn2Sweep) fbeta(sc *gn2Scratch, i, ci int, fLambda interval.I) interval.I {
+	if ci >= sc.thrU[i] {
+		return sc.fb1[i]
+	}
+	return sw.fbetaBelow(sc, i, ci, fLambda)
+}
+
+// fbetaBelow is fbeta for a candidate below task i's case-1 threshold.
+func (sw *gn2Sweep) fbetaBelow(sc *gn2Scratch, i, ci int, fLambda interval.I) interval.I {
+	if ci >= sc.thrD[i] {
+		return sw.fmid(sc, i)
+	}
+	return sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(sw.fD[sc.k]))
+}
+
+// fmid encloses beta's middle case.
+func (sw *gn2Sweep) fmid(sc *gn2Scratch, i int) interval.I {
+	if sw.g.Options.CaseTwoBaker {
+		return sw.fdens[i]
+	}
+	return sw.fui[sc.k]
+}
+
+// beta is Lemma 7's βλk(i) for the prepared task k: the pipeline's one
+// exact β case selector. The case-1 value comes from the hoisted row
+// once filled, and is computed in place before that (a recheck settled
+// at the witness needs a single term).
+func (sw *gn2Sweep) beta(sc *gn2Scratch, i int, lambda rat.R) rat.R {
+	ui := sw.ui[i]
+	if ui.Cmp(lambda) <= 0 {
+		if sc.b1ok {
+			return sc.b1[i]
+		}
+		return gn2CaseOneBeta(sw.s.Tasks[i], ui, sc.dk)
+	}
+	if lambda.Cmp(sw.dens[i]) >= 0 {
+		// Middle case: reachable only when Ci/Di < λ < Ci/Ti, i.e.
+		// Di > Ti. Printed value is Ck/Tk (L7-CASE2); Baker's TR uses a
+		// task-i quantity, approximated here by Ci/Di when selected.
+		if sw.g.Options.CaseTwoBaker {
+			return sw.dens[i]
+		}
+		return sw.ui[sc.k]
+	}
+	// Ci/Ti + (Ci − λ·Di)/Dk.
+	ti := sw.s.Tasks[i]
+	carry := rat.FromInt(int64(ti.C)).Sub(lambda.Mul(rat.FromInt(int64(ti.D)))).Quo(rat.FromInt(sc.dk))
+	return ui.Add(carry)
+}
+
+// evalCandidate evaluates conditions 1 and 2 exactly for the prepared
+// task at one valid λ. On acceptance it returns the satisfied
+// BoundCheck (just the bit without evidence) and leaves both condition
+// sums in sc.sum1/sum2. Otherwise it parks the condition-2 LHS in
+// sc.last and its RHS in sc.lastRHS, which together form the failing
+// certificate's evidence if this turns out to be the last candidate.
+// Every route to an exact value — scan, the from-scratch evidence
+// re-derivation, the admit state's witness — funnels through here, so a
+// candidate is evaluated identically no matter how it was reached.
+func (sw *gn2Sweep) evalCandidate(sc *gn2Scratch, lambda rat.R) (BoundCheck, bool) {
+	sw.fillB1(sc)
+	oneMinus := sc.oneMinus(lambda)
 	sc.sum1.Reset()
 	sc.sum2.Reset()
 	for i := range sw.ui {
-		var beta rat.R
-		ui := sw.ui[i]
-		if ui.Cmp(lambda) <= 0 {
-			beta = sc.b1[i]
-		} else if lambda.Cmp(sw.dens[i]) >= 0 {
-			// Middle case: reachable only when Ci/Di < λ < Ci/Ti,
-			// i.e. Di > Ti. Printed value is Ck/Tk (L7-CASE2);
-			// Baker's TR uses a task-i quantity, approximated here
-			// by Ci/Di when selected.
-			if sw.g.Options.CaseTwoBaker {
-				beta = sw.dens[i]
-			} else {
-				beta = uk
-			}
-		} else {
-			// Ci/Ti + (Ci − λ·Di)/Dk.
-			ti := sw.s.Tasks[i]
-			carry := rat.FromInt(int64(ti.C)).Sub(lambda.Mul(rat.FromInt(int64(ti.D)))).Quo(rat.FromInt(dk))
-			beta = ui.Add(carry)
-		}
+		beta := sw.beta(sc, i, lambda)
 		sc.sum1.Add(sw.area[i].Mul(rat.Min(beta, oneMinus)))
 		sc.sum2.Add(sw.area[i].Mul(rat.Min(beta, rat.One)))
 	}
@@ -447,19 +644,20 @@ func (sw *gn2Sweep) evalCandidate(k int, lambda, oneMinus rat.R, sc *gn2Scratch)
 	// Condition 1: Σ Ai·min(β, 1−λk) < Abnd·(1−λk), strict.
 	rhs1 := sw.abnd.Mul(oneMinus)
 	if sc.sum1.Cmp(rhs1) < 0 {
-		return sw.satisfied(sc.sum1, rhs1, lambda, 1), rat.R{}, true
+		return sw.satisfied(sc.sum1, rhs1, lambda, 1), true
 	}
 
 	// Condition 2: Σ Ai·min(β, 1) vs (Abnd−Amin)·(1−λk) + Amin.
 	rhs2 := sw.abndMinusAmin.Mul(oneMinus).Add(sw.amin)
 	cmp := sc.sum2.Cmp(rhs2)
 	if cmp < 0 || (sw.g.Options.CondTwoNonStrict && cmp == 0) {
-		return sw.satisfied(sc.sum2, rhs2, lambda, 2), rat.R{}, true
+		return sw.satisfied(sc.sum2, rhs2, lambda, 2), true
 	}
-	// Keep the failed condition-2 evidence without copying: swap
-	// the accumulator with the scratch's holding slot.
+	// Keep the failed condition-2 evidence without copying: swap the
+	// accumulator with the scratch's holding slot.
 	sc.sum2, sc.last = sc.last, sc.sum2
-	return BoundCheck{}, rhs2, false
+	sc.lastRHS = rhs2
+	return BoundCheck{}, false
 }
 
 // satisfied builds the accepting check for condition cond at λ: the
@@ -484,346 +682,52 @@ func (sw *gn2Sweep) satisfied(lhs *rat.Acc, rhs, lambda rat.R, cond int) BoundCh
 // the single production copy of the case-1 term; internal/core/bigref
 // keeps the printed expression as the oracle.
 func gn2CaseOneBeta(ti task.Task, ui rat.R, dk int64) rat.R {
-	c, d, t := int64(ti.C), int64(ti.D), int64(ti.T)
-	if t <= d {
+	if ti.T <= ti.D {
 		return ui // Ti = Di makes the two terms equal
 	}
-	if t-d <= math.MaxInt64-dk {
-		nh, num := bits.Mul64(uint64(c), uint64(dk+t-d))
-		dh, den := bits.Mul64(uint64(t), uint64(dk))
-		if nh == 0 && dh == 0 && num <= math.MaxInt64 && den <= math.MaxInt64 {
-			return rat.FromFrac(int64(num), int64(den))
-		}
+	if num, den, ok := gn2CaseOneFrac(ti, dk); ok {
+		return rat.FromFrac(num, den)
 	}
+	c, d := int64(ti.C), int64(ti.D)
 	alt := rat.One.Sub(rat.FromFrac(d, dk)).Mul(ui).Add(rat.FromFrac(c, dk))
 	return rat.Max(ui, alt)
 }
 
-// oneIv is condition 2's constant cap as an exact interval.
-var oneIv = interval.Point(1)
-
-// checkTaskScreened is checkTask with the certified interval pre-filter
-// in front of the exact kernel. Every candidate's conditions are first
-// evaluated on float64 enclosures; a candidate whose condition-1 AND
-// condition-2 intervals certainly violate cannot be the accepting one
-// (the enclosure invariant makes "certainly violated" imply "exactly
-// violated"), so its exact evaluation is skipped. Any other candidate —
-// straddling, or certainly satisfied — escalates to evalCandidate, so
-// the first accepting candidate, its certificate values, and the
-// task-order failing attribution are byte-identical to the exact sweep
-// (enforced by the screen-on/screen-off/bigref differential suite).
-func (sw *gn2Sweep) checkTaskScreened(ctx context.Context, k int, sc *gn2Scratch) (BoundCheck, error) {
-	tk := sw.s.Tasks[k]
-	dk := int64(tk.D)
-	var decided, escalated uint64
-	defer func() { sw.stats.add(decided, escalated) }()
-
-	// Hoisted exactly as in checkTask — the exact case-1 βs also feed
-	// every escalated evaluation — plus their enclosures.
-	for i, ti := range sw.s.Tasks {
-		sc.b1[i] = gn2CaseOneBeta(ti, sw.ui[i], dk)
-		sc.fb1[i] = interval.FromRat(sc.b1[i])
+// gn2CaseOneFrac is the case-1 value of a task with Ti > Di as its
+// unreduced integer fraction Ci·(Dk + Ti − Di) / (Ti·Dk); ok is false
+// when an int64 product would overflow.
+func gn2CaseOneFrac(ti task.Task, dk int64) (num, den int64, ok bool) {
+	c, d, t := int64(ti.C), int64(ti.D), int64(ti.T)
+	if t-d > math.MaxInt64-dk {
+		return 0, 0, false
 	}
-
-	scaled := tk.T > tk.D
-	var mK rat.R
-	if scaled {
-		mK = rat.FromFrac(int64(tk.T), int64(tk.D))
+	nh, nl := bits.Mul64(uint64(c), uint64(dk+t-d))
+	dh, dl := bits.Mul64(uint64(t), uint64(dk))
+	if nh != 0 || dh != 0 || nl > math.MaxInt64 || dl > math.MaxInt64 {
+		return 0, 0, false
 	}
-
-	cands := sw.candidatesFor(k, sc)
-	// The candidate list is sorted ascending, so the exact per-term β
-	// case tests "λ ≥ Ci/Ti" and "λ ≥ Ci/Di" hold exactly for the
-	// candidates at or beyond a threshold index. The screened inner loop
-	// then selects β cases by integer comparison — bit-identically to
-	// the exact comparisons. Task k's list is the global list's suffix
-	// from candU[k], so the sweep-wide thresholds shift by that offset;
-	// the extended search's merged list needs its own binary searches.
-	if sw.candU != nil {
-		off := sw.candU[k]
-		for i := range sw.ui {
-			sc.thrU[i] = max(sw.candU[i]-off, 0)
-			sc.thrD[i] = max(sw.candD[i]-off, 0)
-		}
-	} else {
-		for i := range sw.ui {
-			sc.thrU[i] = lowerBoundR(cands, sw.ui[i])
-			sc.thrD[i] = lowerBoundR(cands, sw.dens[i])
-		}
-	}
-
-	fDk := sw.fD[k]
-
-	// The λk ≤ 1 range check is monotone — λk = λ·mK increases along the
-	// sorted candidate list — so the "tried" candidates form a prefix,
-	// found once by exact binary search instead of once per candidate
-	// (the predicate is the same exact comparison the per-candidate skip
-	// used: 1 − λ·mK < 0 ⇔ λ·mK > 1).
-	validEnd := len(cands)
-	if scaled {
-		validEnd = sort.Search(len(cands), func(j int) bool { return cands[j].Mul(mK).Cmp(rat.One) > 0 })
-	} else {
-		validEnd = sort.Search(len(cands), func(j int) bool { return cands[j].Cmp(rat.One) > 0 })
-	}
-
-	var lastRHS rat.R
-	lastExactIdx := -1
-	// Range-level screen in front of the per-candidate screen: before
-	// building full interval sums candidate by candidate, try to certify
-	// that a whole block of consecutive candidates violates both
-	// conditions, using one interval evaluation over the block's λ hull.
-	// A certified block is disposed of in O(N) total instead of O(N) per
-	// candidate. Blocks grow while certification keeps succeeding and
-	// reset when it fails, so the overhead on never-certifiable sweeps is
-	// bounded by one range evaluation per blockMin candidates. The
-	// per-candidate path below is unchanged, so escalation order — and
-	// with it the first accepting candidate — is preserved.
-	ci := 0
-	block := gn2RangeBlockMin
-	for ci < validEnd {
-		if err := ctx.Err(); err != nil {
-			return BoundCheck{}, err
-		}
-		if validEnd-ci >= block && sw.rangeViolated(k, cands, ci, ci+block, scaled, mK, fDk, sc) {
-			decided += uint64(block)
-			ci += block
-			if block < gn2RangeBlockMax {
-				block *= 2
-			}
-			continue
-		}
-		end := ci + block
-		if end > validEnd {
-			end = validEnd
-		}
-		block = gn2RangeBlockMin
-		for ; ci < end; ci++ {
-			if err := ctx.Err(); err != nil {
-				return BoundCheck{}, err
-			}
-			lambda := cands[ci]
-			lambdaK := lambda
-			if scaled {
-				lambdaK = lambda.Mul(mK)
-			}
-			oneMinus := rat.One.Sub(lambdaK)
-
-			fLambda := interval.FromRat(lambda)
-			fOneMinus := interval.FromRat(oneMinus)
-			var s1, s2 interval.Acc
-			for i := range sw.ui {
-				var fb interval.I
-				if ci >= sc.thrU[i] {
-					fb = sc.fb1[i]
-				} else if ci >= sc.thrD[i] {
-					if sw.g.Options.CaseTwoBaker {
-						fb = sw.fdens[i]
-					} else {
-						fb = sw.fui[k]
-					}
-				} else {
-					fb = sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(fDk))
-				}
-				s1.AddScaled(sw.farea[i], interval.Min(fb, fOneMinus))
-				s2.AddScaled(sw.farea[i], interval.Min(fb, oneIv))
-			}
-
-			// A candidate is screened out only when BOTH conditions are
-			// certainly violated on the enclosures; condition 1 is strict
-			// "<" (violated ⇔ ≥), condition 2's violation depends on the
-			// strictness option.
-			violated := s1.I().AllGreaterEq(sw.fabnd.Mul(fOneMinus))
-			if violated {
-				frhs2 := sw.fabndMinusAmin.Mul(fOneMinus).Add(sw.famin)
-				if sw.g.Options.CondTwoNonStrict {
-					violated = s2.I().AllGreater(frhs2)
-				} else {
-					violated = s2.I().AllGreaterEq(frhs2)
-				}
-			}
-			if violated {
-				decided++
-				continue
-			}
-			escalated++
-			chk, rhs2, accepted := sw.evalCandidate(k, lambda, oneMinus, sc)
-			if accepted {
-				return chk, nil
-			}
-			lastRHS = rhs2
-			lastExactIdx = ci
-		}
-	}
-	lastIdx := validEnd - 1
-	if lastIdx < 0 || !sw.evidence {
-		return BoundCheck{}, nil
-	}
-	if lastExactIdx != lastIdx {
-		// No candidate accepted and the last tried one was screened
-		// out — but the failing certificate carries exactly its
-		// condition-2 evidence. Re-derive it with the exact kernel (it
-		// migrates from decided to escalated: its exact values were
-		// needed after all). Acceptance here is impossible for a sound
-		// screen, but the exact kernel keeps authority if it happens.
-		decided--
-		escalated++
-		lambda := cands[lastIdx]
-		lambdaK := lambda
-		if scaled {
-			lambdaK = lambda.Mul(mK)
-		}
-		oneMinus := rat.One.Sub(lambdaK)
-		chk, rhs2, accepted := sw.evalCandidate(k, lambda, oneMinus, sc)
-		if accepted {
-			return chk, nil
-		}
-		lastRHS = rhs2
-	}
-	return BoundCheck{LHS: sc.last.Rat(), RHS: lastRHS.Rat(), Satisfied: false}, nil
+	return int64(nl), int64(dl), true
 }
 
-// gn2RangeBlockMin/Max bound the range screen's block sizes: blocks
-// start at Min (so a failed certification costs at most 1/Min of the
-// per-candidate work that follows), double on success, and cap at Max.
-const (
-	gn2RangeBlockMin = 8
-	gn2RangeBlockMax = 1024
-)
-
-// rangeViolated certifies, with one interval evaluation, that every
-// candidate in cands[lo:hi) violates both conditions for task k — in
-// which case the whole block can be counted decided without building
-// per-candidate sums. λ is enclosed by the hull of the block's
-// endpoints (the list is sorted), 1−λk by 1 − mK·λ over that hull, and
-// each task's β by the hull of every case value the block's indices can
-// select (the β case switches at the exact index thresholds already in
-// sc.thrU/thrD, so case selection per index stays exact). For any
-// specific λ in the block, each exact quantity lies inside its
-// enclosure, so LHS(λ) ≥ lo(sum) and RHS(λ) ≤ hi(rhs); lo(sum) ≥
-// hi(rhs) for both conditions therefore proves every candidate fails —
-// the same soundness argument as the per-candidate screen, lifted to a
-// range. It can only return false negatives (a violating block it
-// cannot certify), never screen out an accepting candidate.
-func (sw *gn2Sweep) rangeViolated(k int, cands []rat.R, lo, hi int, scaled bool, mK rat.R, fDk interval.I, sc *gn2Scratch) bool {
-	fLambda := interval.Hull(interval.FromRat(cands[lo]), interval.FromRat(cands[hi-1]))
-	fOneMinus := oneIv.Sub(fLambda)
-	if scaled {
-		fOneMinus = oneIv.Sub(interval.FromRat(mK).Mul(fLambda))
-	}
-
-	var fmid interval.I
-	if sw.g.Options.CaseTwoBaker {
-		fmid = interval.I{} // per-task, resolved below
-	} else {
-		fmid = sw.fui[k]
-	}
-
-	var s1, s2 interval.Acc
-	for i := range sw.ui {
-		thrU, thrD := sc.thrU[i], sc.thrD[i]
-		mid := fmid
-		if sw.g.Options.CaseTwoBaker {
-			mid = sw.fdens[i]
-		}
-		var fb interval.I
-		switch {
-		case lo >= thrU:
-			// Case 1 for the whole block.
-			fb = sc.fb1[i]
-		case hi <= thrU && lo >= thrD:
-			// Middle case for the whole block.
-			fb = mid
-		case hi <= thrU && hi <= thrD:
-			// Case 3 for the whole block: β(λ) = ui + (Ci − λ·Di)/Dk,
-			// evaluated over the block's λ hull.
-			fb = sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(fDk))
-		default:
-			// The block straddles a case threshold: hull every case any
-			// of its indices selects. The case-3 piece is evaluated over
-			// the full λ hull — a superset of its true subrange, which
-			// only widens the enclosure (sound).
-			first := true
-			add := func(p interval.I) {
-				if first {
-					fb, first = p, false
-				} else {
-					fb = interval.Hull(fb, p)
-				}
-			}
-			if hi > thrU {
-				add(sc.fb1[i])
-			}
-			mlo, mhi := lo, hi
-			if thrD > mlo {
-				mlo = thrD
-			}
-			if thrU < mhi {
-				mhi = thrU
-			}
-			if mlo < mhi {
-				add(mid)
-			}
-			c3hi := hi
-			if thrD < c3hi {
-				c3hi = thrD
-			}
-			if thrU < c3hi {
-				c3hi = thrU
-			}
-			if lo < c3hi {
-				add(sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(fDk)))
-			}
-		}
-		s1.AddScaled(sw.farea[i], interval.Min(fb, fOneMinus))
-		s2.AddScaled(sw.farea[i], interval.Min(fb, oneIv))
-	}
-
-	if !s1.I().AllGreaterEq(sw.fabnd.Mul(fOneMinus)) {
-		return false
-	}
-	frhs2 := sw.fabndMinusAmin.Mul(fOneMinus).Add(sw.famin)
-	if sw.g.Options.CondTwoNonStrict {
-		return s2.I().AllGreater(frhs2)
-	}
-	return s2.I().AllGreaterEq(frhs2)
-}
-
-// candidatesFor returns task k's λ candidates in ascending order: the
-// suffix of the global sorted candidate list starting at uk (uk is
-// always a member), plus — under ExtendedLambdaSearch — the
-// min-crossing breakpoints, merged in the scratch buffer.
-func (sw *gn2Sweep) candidatesFor(k int, sc *gn2Scratch) []rat.R {
-	var idx int
-	if sw.candU != nil {
-		idx = sw.candU[k]
-	} else {
-		idx = lowerBoundR(sw.cands, sw.ui[k])
-	}
-	base := sw.cands[idx:]
-	if !sw.g.Options.ExtendedLambdaSearch {
-		return base
-	}
-	return sw.extendedCandidatesFor(k, sc, base)
-}
-
-// extendedCandidatesFor appends, for the analysed task tk, every λ at
+// extendedCandidatesFor appends, for the prepared task k, every λ at
 // which some βλk(i) crosses 1−λk (condition 1's cap) or the constant 1
 // (condition 2's cap) — the breakpoints of the piecewise-linear test
-// functions that the paper's candidate set omits. Only values in
-// [uk, 1/m] (so that λk ≤ 1) are kept. The merged list is re-sorted
-// and deduplicated in the scratch buffer. Requires sc.b1 to be filled
-// for task k (the case-1 βs double as the crossing constants).
-func (sw *gn2Sweep) extendedCandidatesFor(k int, sc *gn2Scratch, base []rat.R) []rat.R {
-	tk := sw.s.Tasks[k]
-	uk := sw.ui[k]
+// functions that the paper's candidate set omits — to task k's suffix
+// base of the global list. Only values in [uk, 1/m] (so that λk ≤ 1)
+// are kept. The merged list is re-sorted and deduplicated in the
+// scratch buffer. Requires sc.b1 to be filled for task k (the case-1
+// βs double as the crossing constants).
+func (sw *gn2Sweep) extendedCandidatesFor(sc *gn2Scratch, base []rat.R) []rat.R {
+	tk := sw.s.Tasks[sc.k]
+	uk := sw.ui[sc.k]
 	// m = max(1, Tk/Dk); λk = m·λ.
 	m := rat.One
-	if tk.T > tk.D {
-		m = rat.FromFrac(int64(tk.T), int64(tk.D))
+	if sc.scaled {
+		m = sc.mK
 	}
 	// λ must satisfy λk ≤ 1, i.e. λ ≤ 1/m.
 	lambdaMax := rat.One.Quo(m)
-	out := append(sc.cand[:0], base...)
+	out := append(sc.ext[:0], base...)
 	add := func(r rat.R) {
 		if r.Cmp(uk) >= 0 && r.Cmp(lambdaMax) <= 0 {
 			out = append(out, r)
@@ -857,8 +761,8 @@ func (sw *gn2Sweep) extendedCandidatesFor(k int, sc *gn2Scratch, base []rat.R) [
 			add(lam1)
 		}
 	}
-	sc.cand = sortDedupR(out)
-	return sc.cand
+	sc.ext = sortDedupR(out)
+	return sc.ext
 }
 
 // sortDedupR sorts rs ascending and removes duplicates in place.
@@ -876,64 +780,7 @@ func sortDedupR(rs []rat.R) []rat.R {
 	return uniq
 }
 
-// checkTask is the historical single-task entry point, kept for the
-// λ-completeness and certificate tests: it runs the production sweep
-// machinery for exactly one task with explicitly supplied bounds.
-func (g GN2Test) checkTask(ctx context.Context, s *task.Set, k int, abnd, amin *big.Rat) (BoundCheck, error) {
-	sw := g.newSweep(s, rat.FromBig(abnd), rat.FromBig(amin), true)
-	return sw.checkTask(ctx, k, sw.newScratch())
-}
-
-// beta evaluates Lemma 7's βλk(i) for one task pair, on the production
-// arithmetic. The sweep itself uses the hoisted per-task forms; this
-// entry point exists for the spec-level unit tests and point
-// evaluations.
-func (g GN2Test) beta(ti, tk task.Task, lambda *big.Rat) *big.Rat {
-	return g.betaR(ti, tk, rat.FromBig(lambda)).Rat()
-}
-
-func (g GN2Test) betaR(ti, tk task.Task, lambda rat.R) rat.R {
-	ui := rat.FromFrac(int64(ti.C), int64(ti.T))
-	if ui.Cmp(lambda) <= 0 {
-		return gn2CaseOneBeta(ti, ui, int64(tk.D))
-	}
-	dens := rat.FromFrac(int64(ti.C), int64(ti.D))
-	if lambda.Cmp(dens) >= 0 {
-		if g.Options.CaseTwoBaker {
-			return dens
-		}
-		return rat.FromFrac(int64(tk.C), int64(tk.T))
-	}
-	// Ci/Ti + (Ci − λ·Di)/Dk.
-	carry := rat.FromInt(int64(ti.C)).Sub(lambda.Mul(rat.FromInt(int64(ti.D)))).Quo(rat.FromInt(int64(tk.D)))
-	return ui.Add(carry)
-}
-
-// lambdaCandidates returns the sorted, deduplicated set of λ values
-// that need to be tried for a task with utilization uk: the minimum
-// point uk itself, every task utilization Ci/Ti ≥ uk, and every density
-// Ci/Di ≥ uk of tasks with post-period deadlines (where βλk is
-// discontinuous). The sweep materialises these lists as suffixes of
-// one global sorted list; this standalone form (which accepts an
-// arbitrary uk) backs the candidate-set unit tests.
-func lambdaCandidates(s *task.Set, uk *big.Rat) []*big.Rat {
-	ukR := rat.FromBig(uk)
-	cands := []rat.R{ukR}
-	add := func(r rat.R) {
-		if r.Cmp(ukR) >= 0 {
-			cands = append(cands, r)
-		}
-	}
-	for _, ti := range s.Tasks {
-		add(rat.FromFrac(int64(ti.C), int64(ti.T)))
-		if ti.D > ti.T {
-			add(rat.FromFrac(int64(ti.C), int64(ti.D)))
-		}
-	}
-	cands = sortDedupR(cands)
-	out := make([]*big.Rat, len(cands))
-	for i, c := range cands {
-		out[i] = c.Rat()
-	}
-	return out
+// lowerBoundR returns the first index with rs[i] >= v.
+func lowerBoundR(rs []rat.R, v rat.R) int {
+	return sort.Search(len(rs), func(i int) bool { return rs[i].Cmp(v) >= 0 })
 }

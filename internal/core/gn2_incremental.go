@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-
 	"fmt"
 
-	"fpgasched/internal/interval"
 	"fpgasched/internal/rat"
 	"fpgasched/internal/task"
 )
@@ -33,10 +31,10 @@ import (
 // are exact rationals the result is value-identical to a from-scratch
 // accumulation, so the certificate it emits is byte-identical (big.Rat
 // normalizes, making value equality string equality). Fresh values and
-// forward scans use a full exact evaluation over the trial set — the
-// same term recurrence as the sweep's evalCandidate, so acceptance
-// order and certificate values match from scratch by construction;
-// nothing cached ever reaches a certificate except through an exact
+// forward scans run through the full sweep's own candidate pipeline
+// (gn2Sweep.scan) over the trial set, so acceptance order and
+// certificate values match from scratch by construction; nothing
+// cached ever reaches a certificate except through an exact
 // value-preserving sum.
 //
 // A release that undoes the most recent admission (LIFO, the common
@@ -97,8 +95,8 @@ const gn2UndoDepth = 64
 // gn2ScanBudget bounds the forward scan past a failed witness (and the
 // exhaustive scan deciding a rejection). A task whose witness moves
 // further than this in one add is doing nearly a full sweep's work
-// anyway, so TryAdd falls back to the screened full analysis instead
-// of finishing the scan unscreened.
+// anyway, so TryAdd falls back to the full analysis instead of
+// finishing the scan.
 const gn2ScanBudget = 24
 
 // gn2Pend stashes the outcome of a TryAdd acceptance (or a full-run
@@ -163,27 +161,23 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 
 	// Full sweep invariants over the trial set: its candidate list is
 	// exactly the resident list with the newcomer's values spliced in,
-	// and its per-task arrays feed the same exact term recurrence the
-	// full sweep uses. The interval screen (verdict-invariant, so either
-	// route yields the same checks) also pre-filters the incremental
-	// path's exact evaluations of fresh and scanned candidates.
+	// and every candidate runs through the same pipeline as the full
+	// sweep. The interval screen (verdict-invariant, so either route
+	// yields the same checks) pre-filters fresh and scanned candidates.
 	sw := st.g.newSweep(trial, st.abnd, st.amin, true)
-	screened := ScreenOn(ctx)
-	if screened {
+	if ScreenOn(ctx) {
 		sw.initScreen(screenStatsFrom(ctx))
 	}
+	sc := sw.newScratch()
 
-	// The newcomer's candidate contributions, deduplicated. Evaluating
-	// one that is not actually fresh wastes one O(N) check but cannot
-	// change the outcome: it failed for the resident set, so by
-	// monotonicity it fails for the trial set too.
-	fresh := make([]rat.R, 0, 2)
-	fresh = append(fresh, sw.ui[n])
-	if t.D > t.T && sw.dens[n].Cmp(sw.ui[n]) != 0 {
-		fresh = append(fresh, sw.dens[n])
-	}
-	if len(fresh) == 2 && fresh[0].Cmp(fresh[1]) > 0 {
-		fresh[0], fresh[1] = fresh[1], fresh[0]
+	// The newcomer's candidate values at their indices in the trial list,
+	// ascending (Di > Ti makes Ci/Di < Ci/Ti). Evaluating one that is not
+	// actually fresh wastes one O(N) check but cannot change the outcome:
+	// it failed for the resident set, so by monotonicity it fails for the
+	// trial set too.
+	fresh := []int{sw.candU[n]}
+	if t.D > t.T {
+		fresh = []int{sw.candD[n], sw.candU[n]}
 	}
 
 	checks := make([]BoundCheck, n+1)
@@ -205,7 +199,10 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 		if err := ctx.Err(); err != nil {
 			return aborted(name, err), true
 		}
-		res := st.recheckTask(sw, k, fresh)
+		res, err := st.recheckTask(ctx, sw, sc, k, fresh)
+		if err != nil {
+			return aborted(name, err), true
+		}
 		switch res.status {
 		case gn2Rejected:
 			// Earlier tasks all accepted, so k is the from-scratch
@@ -228,7 +225,6 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 	// only pays off if the newcomer outlives the next admission, so the
 	// first later recheck seeds it on demand instead. Short-lived
 	// admit/release churn then never pays for it.
-	sc := sw.newScratch()
 	chk, err := sw.check(ctx, n, sc)
 	if err != nil {
 		return aborted(name, err), true
@@ -262,32 +258,33 @@ type gn2Recheck struct {
 	s1, s2 rat.R // trial-set condition sums at wit
 }
 
-// recheckTask finds resident task k's first accepting candidate over
-// the trial set, starting from its committed witness: fresh newcomer
-// values before the witness, the witness, then the tail of the trial
-// candidate list. The witness step is O(1) when the sums cache is
-// populated (cached resident sums + the newcomer's term); every other
-// evaluation is a full exact pass over the trial set.
-func (st *gn2AdmitState) recheckTask(sw *gn2Sweep, k int, fresh []rat.R) gn2Recheck {
-	var decided, escalated uint64
-	defer func() { sw.stats.add(decided, escalated) }()
-	w := st.wit[k]
-	uk := sw.ui[k]
+// recheckTask is the admit state's driver of the candidate pipeline: it
+// finds resident task k's first accepting candidate over the trial set,
+// starting from its committed witness w. It runs the newcomer's fresh
+// candidates in [uk, w) through the pipeline at their trial-list
+// indices, then the witness, then scans forward from the witness under
+// gn2ScanBudget. The witness step is O(1) exact work when the sums
+// cache is populated (cached resident sums + the newcomer's term);
+// every other evaluation is evalCandidate over the trial set.
+func (st *gn2AdmitState) recheckTask(ctx context.Context, sw *gn2Sweep, sc *gn2Scratch, k int, fresh []int) (gn2Recheck, error) {
+	sw.prepare(k, sc)
+	defer sw.flush(sc)
+	accept := func(chk BoundCheck, lambda rat.R) (gn2Recheck, error) {
+		return gn2Recheck{status: gn2Accepted, chk: chk, wit: lambda, s1: sc.sum1.R(), s2: sc.sum2.R()}, nil
+	}
 	// Fresh values in [uk, w): every λ below the (valid) witness is
 	// valid too, so no λk range check is needed here.
-	for _, f := range fresh {
-		if f.Cmp(uk) < 0 || f.Cmp(w) >= 0 {
+	w := st.wit[k]
+	for _, ci := range fresh {
+		if ci < sc.lo || sw.cands[ci].Cmp(w) >= 0 {
 			continue
 		}
-		if gn2ScreenFails(sw, k, f) {
-			decided++
-			continue
+		chk, at, err := sw.scan(ctx, sc, ci, ci+1)
+		if err != nil {
+			return gn2Recheck{}, err
 		}
-		if sw.screen {
-			escalated++
-		}
-		if res := gn2EvalFull(sw, k, f); res.status == gn2Accepted {
-			return res
+		if at >= 0 {
+			return accept(chk, sw.cands[at])
 		}
 	}
 
@@ -298,132 +295,57 @@ func (st *gn2AdmitState) recheckTask(sw *gn2Sweep, k int, fresh []rat.R) gn2Rech
 	// them (zero is the unseeded sentinel: real sums are strictly
 	// positive).
 	if st.ws1 != nil && st.ws1[k].Sign() != 0 {
-		switch res := st.witnessDelta(sw, k, w); res.status {
+		switch res := st.witnessDelta(sw, sc, w); res.status {
 		case gn2Accepted:
-			return res
+			return res, nil
 		case gn2Fallback:
 			// Condition 1 failed and no cached condition-2 sum exists:
 			// the witness's fate is unknown until one exact evaluation.
-			if res := gn2EvalFull(sw, k, w); res.status == gn2Accepted {
-				return res
+			if chk, ok := sw.evalCandidate(sc, w); ok {
+				return accept(chk, w)
 			}
 		}
-	} else if res := gn2EvalFull(sw, k, w); res.status == gn2Accepted {
-		return res
+	} else if chk, ok := sw.evalCandidate(sc, w); ok {
+		return accept(chk, w)
 	}
 
 	// The witness failed — the newcomer pushed it past a bound. Scan
 	// forward through the trial candidate list (old and fresh values
-	// merged by construction) under the scan budget; validity λk ≤ 1 is
-	// monotone, so the first invalid candidate ends the scan and proves
-	// rejection.
-	tk := sw.s.Tasks[k]
-	scaled := tk.T > tk.D
-	var mK rat.R
-	if scaled {
-		mK = rat.FromFrac(int64(tk.T), int64(tk.D))
+	// merged by construction). A task whose witness would move further
+	// than the budget falls back; reaching the end of the valid range
+	// proves rejection.
+	lo := lowerBoundR(sw.cands, w) + 1
+	hi := sc.validEnd()
+	end := min(hi, lo+gn2ScanBudget)
+	chk, at, err := sw.scan(ctx, sc, lo, end)
+	switch {
+	case err != nil:
+		return gn2Recheck{}, err
+	case at >= 0:
+		return accept(chk, sw.cands[at])
+	case hi > end:
+		return gn2Recheck{status: gn2Fallback}, nil
 	}
-	idx := lowerBoundR(sw.cands, w)
-	budget := gn2ScanBudget
-	for ci := idx + 1; ci < len(sw.cands); ci++ {
-		lambda := sw.cands[ci]
-		lambdaK := lambda
-		if scaled {
-			lambdaK = lambda.Mul(mK)
-		}
-		if rat.One.Sub(lambdaK).Sign() < 0 {
-			break
-		}
-		if budget--; budget < 0 {
-			return gn2Recheck{status: gn2Fallback}
-		}
-		if gn2ScreenFails(sw, k, lambda) {
-			decided++
-			continue
-		}
-		if sw.screen {
-			escalated++
-		}
-		if res := gn2EvalFull(sw, k, lambda); res.status == gn2Accepted {
-			return res
-		}
-	}
-	return gn2Recheck{status: gn2Rejected}
+	return gn2Recheck{status: gn2Rejected}, nil
 }
 
-// gn2ScreenFails is the certified interval screen for one candidate of
-// one task over the trial set: it returns true only when BOTH
-// conditions are certainly violated on float64 enclosures, in which
-// case λ cannot be the first accepting candidate and its exact
-// evaluation can be skipped without perturbing the accepting witness or
-// its certificate (the enclosure invariant makes "certainly violated"
-// imply "exactly violated" — the same soundness argument as the full
-// sweep's per-candidate screen). β case selection uses the exact
-// comparisons, matching evalCandidate; only the term values are
-// enclosed. Returns false when the screen is off or cannot certify.
-func gn2ScreenFails(sw *gn2Sweep, k int, lambda rat.R) bool {
-	if !sw.screen {
-		return false
-	}
-	tk := sw.s.Tasks[k]
-	fDk := sw.fD[k]
-	fLambda := interval.FromRat(lambda)
-	fOneMinus := oneIv.Sub(fLambda)
-	if tk.T > tk.D {
-		fOneMinus = oneIv.Sub(interval.FromRat(rat.FromFrac(int64(tk.T), int64(tk.D))).Mul(fLambda))
-	}
-	var s1, s2 interval.Acc
-	for i := range sw.ui {
-		var fb interval.I
-		if sw.ui[i].Cmp(lambda) <= 0 {
-			// Case 1, enclosed directly in floats (the sweep hoists the
-			// exact value; any sound enclosure works for screening).
-			alt := oneIv.Sub(sw.fD[i].Quo(fDk)).Mul(sw.fui[i]).Add(sw.fC[i].Quo(fDk))
-			fb = interval.Max(sw.fui[i], alt)
-		} else if lambda.Cmp(sw.dens[i]) >= 0 {
-			if sw.g.Options.CaseTwoBaker {
-				fb = sw.fdens[i]
-			} else {
-				fb = sw.fui[k]
-			}
-		} else {
-			fb = sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(fDk))
-		}
-		s1.AddScaled(sw.farea[i], interval.Min(fb, fOneMinus))
-		s2.AddScaled(sw.farea[i], interval.Min(fb, oneIv))
-	}
-	if !s1.I().AllGreaterEq(sw.fabnd.Mul(fOneMinus)) {
-		return false
-	}
-	frhs2 := sw.fabndMinusAmin.Mul(fOneMinus).Add(sw.famin)
-	if sw.g.Options.CondTwoNonStrict {
-		return s2.I().AllGreater(frhs2)
-	}
-	return s2.I().AllGreaterEq(frhs2)
-}
-
-// witnessDelta re-checks task k's committed witness against the trial
-// set in O(1) exact work: a trial condition sum is the cached resident
-// sum plus the newcomer's β term (the same per-task term evalCandidate
-// accumulates, so the totals are value-identical to a from-scratch
-// accumulation and the emitted certificate values are byte-identical).
-// The condition-2 sum is maintained only while condition 2 is actually
-// consulted: when condition 1 accepts — the steady state — the result
-// propagates an unseeded s2, saving one exact Add per task per admit.
-// Status: gn2Accepted (the witness holds), gn2Rejected (both
-// conditions exactly violated — scan forward), or gn2Fallback
-// (condition 1 failed with no cached condition-2 sum: the caller must
-// evaluate the witness exactly).
-func (st *gn2AdmitState) witnessDelta(sw *gn2Sweep, k int, w rat.R) gn2Recheck {
-	tk := sw.s.Tasks[k]
-	lambdaK := w
-	if tk.T > tk.D {
-		lambdaK = w.Mul(rat.FromFrac(int64(tk.T), int64(tk.D)))
-	}
-	oneMinus := rat.One.Sub(lambdaK)
-
+// witnessDelta re-checks the prepared task's committed witness against
+// the trial set in O(1) exact work: a trial condition sum is the cached
+// resident sum plus the newcomer's β term (the same per-task term
+// evalCandidate accumulates, so the totals are value-identical to a
+// from-scratch accumulation and the emitted certificate values are
+// byte-identical). The condition-2 sum is maintained only while
+// condition 2 is actually consulted: when condition 1 accepts — the
+// steady state — the result propagates an unseeded s2, saving one exact
+// Add per task per admit. Status: gn2Accepted (the witness holds),
+// gn2Rejected (both conditions exactly violated — scan forward), or
+// gn2Fallback (condition 1 failed with no cached condition-2 sum: the
+// caller must evaluate the witness exactly).
+func (st *gn2AdmitState) witnessDelta(sw *gn2Sweep, sc *gn2Scratch, w rat.R) gn2Recheck {
+	k := sc.k
+	oneMinus := sc.oneMinus(w)
 	n := len(sw.ui) - 1 // the newcomer's index in the trial set
-	beta := gn2BetaAt(sw, k, n, w)
+	beta := sw.beta(sc, n, w)
 	s1 := st.ws1[k].Add(sw.area[n].Mul(rat.Min(beta, oneMinus)))
 
 	rhs1 := sw.abnd.Mul(oneMinus)
@@ -448,83 +370,6 @@ func (st *gn2AdmitState) witnessDelta(sw *gn2Sweep, k int, w rat.R) gn2Recheck {
 		}
 	}
 	return gn2Recheck{status: gn2Rejected}
-}
-
-// gn2BetaAt is Lemma 7's βλk(i) on the sweep's exact arrays, with the
-// case-1 value computed in place (the incremental path evaluates too
-// few candidates per task to amortize the sweep's hoisted b1 row). The
-// case comparisons and arithmetic mirror evalCandidate exactly.
-func gn2BetaAt(sw *gn2Sweep, k, i int, lambda rat.R) rat.R {
-	ui := sw.ui[i]
-	if ui.Cmp(lambda) <= 0 {
-		return gn2CaseOneBeta(sw.s.Tasks[i], ui, int64(sw.s.Tasks[k].D))
-	}
-	if lambda.Cmp(sw.dens[i]) >= 0 {
-		if sw.g.Options.CaseTwoBaker {
-			return sw.dens[i]
-		}
-		return sw.ui[k]
-	}
-	ti := sw.s.Tasks[i]
-	carry := rat.FromInt(int64(ti.C)).Sub(lambda.Mul(rat.FromInt(int64(ti.D)))).Quo(rat.FromInt(int64(sw.s.Tasks[k].D)))
-	return ui.Add(carry)
-}
-
-// gn2EvalFull evaluates both conditions for task k at λ over the whole
-// trial set with exact arithmetic, returning the accepting check and
-// both condition sums. It is evalCandidate minus the hoisted scratch:
-// same case selection, same term values, same condition order and
-// strictness — value-identical sums, so certificates emitted from its
-// checks are byte-identical to the sweep's. Like evalCandidate it
-// accumulates through rat.Acc (unreduced; one reduction at extraction)
-// rather than a reduced-Add chain, which pays a gcd per term.
-func gn2EvalFull(sw *gn2Sweep, k int, lambda rat.R) gn2Recheck {
-	tk := sw.s.Tasks[k]
-	lambdaK := lambda
-	if tk.T > tk.D {
-		lambdaK = lambda.Mul(rat.FromFrac(int64(tk.T), int64(tk.D)))
-	}
-	oneMinus := rat.One.Sub(lambdaK)
-
-	var s1, s2 rat.Acc
-	for i := range sw.ui {
-		beta := gn2BetaAt(sw, k, i, lambda)
-		s1.Add(sw.area[i].Mul(rat.Min(beta, oneMinus)))
-		s2.Add(sw.area[i].Mul(rat.Min(beta, rat.One)))
-	}
-
-	rhs1 := sw.abnd.Mul(oneMinus)
-	if s1.Cmp(rhs1) < 0 {
-		return gn2Recheck{
-			status: gn2Accepted,
-			chk:    BoundCheck{LHS: s1.Rat(), RHS: rhs1.Rat(), Satisfied: true, Lambda: lambda.Rat(), Condition: 1},
-			wit:    lambda, s1: s1.R(), s2: s2.R(),
-		}
-	}
-	rhs2 := sw.abndMinusAmin.Mul(oneMinus).Add(sw.amin)
-	cmp := s2.Cmp(rhs2)
-	if cmp < 0 || (sw.g.Options.CondTwoNonStrict && cmp == 0) {
-		return gn2Recheck{
-			status: gn2Accepted,
-			chk:    BoundCheck{LHS: s2.Rat(), RHS: rhs2.Rat(), Satisfied: true, Lambda: lambda.Rat(), Condition: 2},
-			wit:    lambda, s1: s1.R(), s2: s2.R(),
-		}
-	}
-	return gn2Recheck{status: gn2Rejected}
-}
-
-// lowerBoundR returns the first index with rs[i] >= v.
-func lowerBoundR(rs []rat.R, v rat.R) int {
-	lo, hi := 0, len(rs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rs[mid].Cmp(v) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // ObserveFull re-warms the state from a full run's accepting verdict:

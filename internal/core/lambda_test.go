@@ -14,12 +14,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fpgasched/internal/rat"
 	"fpgasched/internal/task"
 	"fpgasched/internal/timeunit"
 )
 
+// pipelineBeta is Lemma 7's βλk(i) from the candidate pipeline's own
+// exact β function, on a sweep over s prepared for task k. λ may be any
+// value, not only a candidate.
+func pipelineBeta(g GN2Test, s *task.Set, i, k int, lambda *big.Rat) *big.Rat {
+	sw := g.newSweep(s, rat.One, rat.One, true)
+	sc := sw.newScratch()
+	sw.prepare(k, sc)
+	return sw.beta(sc, i, rat.FromBig(lambda)).Rat()
+}
+
 // gn2AcceptsTaskAtLambda evaluates Theorem 3's conditions for task k at
-// one specific λ, mirroring GN2Test.checkTask's per-λ body.
+// one specific λ on big.Rat, independently of the candidate scan.
 func gn2AcceptsTaskAtLambda(g GN2Test, s *task.Set, k int, lambda *big.Rat, abnd, amin *big.Rat) bool {
 	tk := s.Tasks[k]
 	lambdaK := new(big.Rat).Set(lambda)
@@ -32,8 +43,8 @@ func gn2AcceptsTaskAtLambda(g GN2Test, s *task.Set, k int, lambda *big.Rat, abnd
 	}
 	sum1 := new(big.Rat)
 	sum2 := new(big.Rat)
-	for _, ti := range s.Tasks {
-		beta := g.beta(ti, tk, lambda)
+	for i, ti := range s.Tasks {
+		beta := pipelineBeta(g, s, i, k, lambda)
 		sum1.Add(sum1, new(big.Rat).Mul(ratInt(ti.A), ratMin(beta, oneMinus)))
 		sum2.Add(sum2, new(big.Rat).Mul(ratInt(ti.A), ratMin(beta, ratOne)))
 	}
@@ -72,9 +83,9 @@ func TestLambdaCandidateSetIsComplete(t *testing.T) {
 		}
 		abnd := ratInt(dev.Columns - s.AMax() + 1)
 		amin := ratInt(s.AMin())
+		v := g.Analyze(context.Background(), dev, s)
 		for k, tk := range s.Tasks {
-			chk, _ := g.checkTask(context.Background(), s, k, abnd, amin)
-			enumerated := chk.Satisfied
+			enumerated := v.Checks[k].Satisfied
 			if enumerated {
 				continue // completeness is about missed acceptances
 			}
@@ -126,13 +137,13 @@ func TestEnumeratedLambdaAgreesWithPointEvaluation(t *testing.T) {
 			})
 		}
 		dev := NewDevice(12)
-		if s.AMax() > dev.Columns {
+		if err := s.ValidateFor(dev.Columns); err != nil {
 			continue
 		}
 		abnd := ratInt(dev.Columns - s.AMax() + 1)
 		amin := ratInt(s.AMin())
-		for k := range s.Tasks {
-			res, _ := g.checkTask(context.Background(), s, k, abnd, amin)
+		for _, res := range g.Analyze(context.Background(), dev, s).Checks {
+			k := res.TaskIndex
 			if !res.Satisfied {
 				continue
 			}

@@ -46,12 +46,10 @@ func (s *ScreenStats) add(decided, escalated uint64) {
 }
 
 // WithScreen returns a context that switches the kernels' interval
-// pre-filter on or off. The screen is ON by default: it is certified
-// verdict-invariant (differential-tested against the screen-off path
-// and the bigref build), so disabling it is a debugging and
-// benchmarking affordance, not a correctness knob. Like
-// WithSweepWorkers, the switch deliberately stays out of Test.Name()
-// and hence out of the engine's cache key.
+// pre-filter on or off. It is a test hook: the screen is always on in
+// production, and the differential suites switch it off to prove it
+// verdict-invariant (byte-identical to the screen-off path and the
+// bigref build) and to benchmark the pure exact path.
 func WithScreen(ctx context.Context, on bool) context.Context {
 	return context.WithValue(ctx, screenKey{}, on)
 }

@@ -232,12 +232,12 @@ func TestTable3GN1Rejection(t *testing.T) {
 func TestTable3GN1BetaMatchesPaper(t *testing.T) {
 	// β1 = (N1·C1 + min(C1, max(D2−N1·T1, 0)))/D1 = (2.1 + 2)/5 = 4.1/5.
 	s := table3()
-	beta := gn1Beta(s.Tasks[0], s.Tasks[1], GN1VariantPaper)
+	beta := gn1BetaR(s.Tasks[0], s.Tasks[1], GN1VariantPaper).Rat()
 	if beta.Cmp(big.NewRat(41, 50)) != 0 {
 		t.Errorf("β1 = %s, want 41/50 (4.1/5, as printed)", beta.RatString())
 	}
 	// The BCL-consistent variant would divide by Dk=7 instead.
-	betaBCL := gn1Beta(s.Tasks[0], s.Tasks[1], GN1VariantBCL)
+	betaBCL := gn1BetaR(s.Tasks[0], s.Tasks[1], GN1VariantBCL).Rat()
 	if betaBCL.Cmp(big.NewRat(41, 70)) != 0 {
 		t.Errorf("β1(BCL) = %s, want 41/70", betaBCL.RatString())
 	}

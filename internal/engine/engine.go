@@ -88,14 +88,6 @@ type Config struct {
 	// bit-for-bit identical for every setting — parallelism is
 	// deliberately excluded from the cache key.
 	SweepWorkers int
-	// DisableScreen turns off the kernels' certified interval pre-filter
-	// (core.WithScreen), forcing every bound through exact arithmetic.
-	// The screen is verdict-invariant — differential-tested to produce
-	// byte-identical certificates — so this is a debugging and
-	// benchmarking affordance, not a correctness knob, and like
-	// SweepWorkers it is excluded from the cache key. The zero value
-	// (screen on) is the production default.
-	DisableScreen bool
 }
 
 // Defaults for Config zero values.
@@ -131,9 +123,6 @@ type Stats struct {
 	// SweepWorkers is the resolved per-analysis sweep parallelism
 	// (Config.SweepWorkers; 1 means serial sweeps).
 	SweepWorkers int
-	// Screen reports whether the interval pre-filter is enabled
-	// (Config.DisableScreen inverted).
-	Screen bool
 	// ScreenDecided and ScreenEscalated aggregate the kernels' interval
 	// screen counters across completed analyses: bounds disposed of with
 	// no exact arithmetic vs bounds that escalated to the exact kernel
@@ -191,8 +180,7 @@ var errAbandoned = errors.New("engine: analysis abandoned by cancelled owner")
 type Engine struct {
 	sem          chan struct{} // worker pool: acquire to run an analysis
 	closed       chan struct{}
-	sweepWorkers int  // resolved Config.SweepWorkers (>= 1)
-	screenOff    bool // Config.DisableScreen
+	sweepWorkers int // resolved Config.SweepWorkers (>= 1)
 
 	mu       sync.Mutex
 	cache    *lru
@@ -238,7 +226,6 @@ func New(cfg Config) *Engine {
 		sem:          make(chan struct{}, cfg.Workers),
 		closed:       make(chan struct{}),
 		sweepWorkers: sweep,
-		screenOff:    cfg.DisableScreen,
 		cache:        cache,
 		inflight:     make(map[flightKey]*call),
 	}
@@ -507,10 +494,7 @@ func (e *Engine) own(ctx context.Context, src source, k flightKey, c *call, upgr
 	// One counter sink per analysis: harvested only on successful
 	// completion (below), so aborted sweeps contribute no screen
 	// counters, mirroring the Analyses counter.
-	var ss *core.ScreenStats
-	if !e.screenOff {
-		ss = new(core.ScreenStats)
-	}
+	ss := new(core.ScreenStats)
 	start := time.Now()
 	v, runErr := e.runAnalysis(ctx, src.test, k, canon, ss)
 	elapsed := time.Since(start)
@@ -550,13 +534,11 @@ func (e *Engine) own(ctx context.Context, src source, k flightKey, c *call, upgr
 	}
 	ts := e.perTestLocked(k.test)
 	ts.Analyses++
-	if ss != nil {
-		d, esc := ss.Decided.Load(), ss.Escalated.Load()
-		e.stats.screenDecided += d
-		e.stats.screenEscalated += esc
-		ts.ScreenDecided += d
-		ts.ScreenEscalated += esc
-	}
+	d, esc := ss.Decided.Load(), ss.Escalated.Load()
+	e.stats.screenDecided += d
+	e.stats.screenEscalated += esc
+	ts.ScreenDecided += d
+	ts.ScreenEscalated += esc
 	e.stats.Unlock()
 
 	c.verdict = v
@@ -700,13 +682,8 @@ func (e *Engine) runAnalysis(ctx context.Context, t core.Test, k flightKey, cano
 	// λ sweep fans its independent per-task checks across this many
 	// goroutines (verdict-invariant, so it stays out of the cache key).
 	ctx = core.WithSweepWorkers(ctx, e.sweepWorkers)
-	// The interval screen is equally verdict-invariant: disable it when
-	// configured off, otherwise attach this analysis's counter sink.
-	if e.screenOff {
-		ctx = core.WithScreen(ctx, false)
-	} else if ss != nil {
-		ctx = core.WithScreenStats(ctx, ss)
-	}
+	// Attach this analysis's interval-screen counter sink.
+	ctx = core.WithScreenStats(ctx, ss)
 	dev := core.NewDevice(k.columns)
 	if !k.evidence {
 		return core.Decide(ctx, t, dev, canon), nil
@@ -726,7 +703,6 @@ func (e *Engine) Stats() Stats {
 		Upgrades:        e.stats.upgrades,
 		Workers:         cap(e.sem),
 		SweepWorkers:    e.sweepWorkers,
-		Screen:          !e.screenOff,
 		ScreenDecided:   e.stats.screenDecided,
 		ScreenEscalated: e.stats.screenEscalated,
 	}
