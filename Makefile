@@ -21,13 +21,16 @@ race:
 # micro-benchmarks, so the speedup and allocation reduction are
 # re-measured on every archive. The GN2/GN1/DP patterns also match the
 # *Screened variants (interval pre-filter on, the serving default) next
-# to the screen-off baselines.
+# to the screen-off baselines. BenchmarkCold is the served analyze-cold
+# mix in-process (any-nf Analyze and Decide), run for one pass over its
+# 512 sets. Each result records the GOMAXPROCS it ran at.
 # `make bench-all` runs every benchmark in the repo.
 bench:
 	mkdir -p bench-results
 	$(GO) test -bench 'BenchmarkAnalyze' -benchtime 100x -run XXX ./internal/engine/ | tee bench-results/BENCH_engine.txt
 	$(GO) test -bench 'BenchmarkTable|BenchmarkAnalysisScaling|BenchmarkCompositeVsSingle' -benchtime 100x -run XXX . | tee bench-results/BENCH_gn2.txt
 	$(GO) test -bench 'BenchmarkGN2Sweep|BenchmarkGN2xSweep|BenchmarkGN1|BenchmarkDP' -benchtime 10x -run XXX ./internal/core/ | tee bench-results/BENCH_core.txt
+	$(GO) test -bench 'BenchmarkCold' -benchtime 512x -run XXX ./internal/core/ | tee -a bench-results/BENCH_core.txt
 	$(GO) test -bench 'BenchmarkRat' -run XXX ./internal/rat/ | tee -a bench-results/BENCH_core.txt
 	$(GO) test -bench 'BenchmarkInterval' -run XXX ./internal/interval/ | tee -a bench-results/BENCH_core.txt
 	$(GO) run ./cmd/benchjson -in bench-results/BENCH_engine.txt -out bench-results/BENCH_engine.json

@@ -302,10 +302,10 @@ func fixtures() map[string]any {
 		"metrics_response": MetricsResponse{
 			Engine: EngineStats{
 				Hits: 12, Misses: 3, Evictions: 1, Analyses: 3, AnalysisNanos: 41_000_000, EvidenceUpgrades: 1, CacheLen: 2, CacheCap: 4096, Workers: 8,
-				Screen: true, ScreenDecided: 310, ScreenEscalated: 14,
+				Screen: true, ScreenDecided: 310, ScreenEscalated: 14, ScreenRangePruned: 288, ScreenEvals: 43,
 				Tests: map[string]TestCounters{
-					"GN2":     {Hits: 9, Misses: 2, Analyses: 2, ScreenDecided: 310, ScreenEscalated: 11},
-					"MP-BAK2": {Hits: 3, Misses: 1, Analyses: 1, ScreenEscalated: 3},
+					"GN2":     {Hits: 9, Misses: 2, Analyses: 2, ScreenDecided: 310, ScreenEscalated: 11, ScreenRangePruned: 288, ScreenEvals: 40},
+					"MP-BAK2": {Hits: 3, Misses: 1, Analyses: 1, ScreenEscalated: 3, ScreenEvals: 3},
 				},
 			},
 			HTTP: map[string]RouteMetrics{

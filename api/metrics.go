@@ -35,10 +35,15 @@ type EngineStats struct {
 	// wire so the v1 schema remains additive. ScreenDecided and
 	// ScreenEscalated aggregate, over completed analyses, the bounds the
 	// pre-filter disposed of without exact arithmetic vs the bounds
-	// escalated to the exact kernel (additive v1 fields).
-	Screen          bool   `json:"screen"`
-	ScreenDecided   uint64 `json:"screen_decided,omitempty"`
-	ScreenEscalated uint64 `json:"screen_escalated,omitempty"`
+	// escalated to the exact kernel. ScreenRangePruned is the part of
+	// ScreenDecided that GN2's range evaluations disposed of, whole
+	// candidate ranges at a time, and ScreenEvals counts the interval
+	// evaluations run (additive v1 fields).
+	Screen            bool   `json:"screen"`
+	ScreenDecided     uint64 `json:"screen_decided,omitempty"`
+	ScreenEscalated   uint64 `json:"screen_escalated,omitempty"`
+	ScreenRangePruned uint64 `json:"screen_range_pruned,omitempty"`
+	ScreenEvals       uint64 `json:"screen_evals,omitempty"`
 	// Tests breaks the cache and analysis counters down by test name, so
 	// operators can see which registry entries are hot and how well each
 	// memoizes. Keys are canonical registry identifiers. Absent until the
@@ -48,41 +53,47 @@ type EngineStats struct {
 
 // TestCounters is the per-test-name slice of the engine counters: cache
 // hits, misses, analyses actually executed, and the interval screen's
-// decided/escalated bound counts for one registry entry.
+// counters for one registry entry.
 type TestCounters struct {
-	Hits            uint64 `json:"hits"`
-	Misses          uint64 `json:"misses"`
-	Analyses        uint64 `json:"analyses"`
-	ScreenDecided   uint64 `json:"screen_decided,omitempty"`
-	ScreenEscalated uint64 `json:"screen_escalated,omitempty"`
+	Hits              uint64 `json:"hits"`
+	Misses            uint64 `json:"misses"`
+	Analyses          uint64 `json:"analyses"`
+	ScreenDecided     uint64 `json:"screen_decided,omitempty"`
+	ScreenEscalated   uint64 `json:"screen_escalated,omitempty"`
+	ScreenRangePruned uint64 `json:"screen_range_pruned,omitempty"`
+	ScreenEvals       uint64 `json:"screen_evals,omitempty"`
 }
 
 // EngineStatsFrom converts an engine snapshot to its wire form.
 func EngineStatsFrom(s engine.Stats) EngineStats {
 	out := EngineStats{
-		Hits:             s.Hits,
-		Misses:           s.Misses,
-		Evictions:        s.Evictions,
-		Analyses:         s.Analyses,
-		AnalysisNanos:    s.AnalysisNanos,
-		EvidenceUpgrades: s.Upgrades,
-		InFlight:         s.InFlight,
-		CacheLen:         s.CacheLen,
-		CacheCap:         s.CacheCap,
-		Workers:          s.Workers,
-		Screen:           true,
-		ScreenDecided:    s.ScreenDecided,
-		ScreenEscalated:  s.ScreenEscalated,
+		Hits:              s.Hits,
+		Misses:            s.Misses,
+		Evictions:         s.Evictions,
+		Analyses:          s.Analyses,
+		AnalysisNanos:     s.AnalysisNanos,
+		EvidenceUpgrades:  s.Upgrades,
+		InFlight:          s.InFlight,
+		CacheLen:          s.CacheLen,
+		CacheCap:          s.CacheCap,
+		Workers:           s.Workers,
+		Screen:            true,
+		ScreenDecided:     s.ScreenDecided,
+		ScreenEscalated:   s.ScreenEscalated,
+		ScreenRangePruned: s.ScreenRangePruned,
+		ScreenEvals:       s.ScreenEvals,
 	}
 	if len(s.Tests) > 0 {
 		out.Tests = make(map[string]TestCounters, len(s.Tests))
 		for name, c := range s.Tests {
 			out.Tests[name] = TestCounters{
-				Hits:            c.Hits,
-				Misses:          c.Misses,
-				Analyses:        c.Analyses,
-				ScreenDecided:   c.ScreenDecided,
-				ScreenEscalated: c.ScreenEscalated,
+				Hits:              c.Hits,
+				Misses:            c.Misses,
+				Analyses:          c.Analyses,
+				ScreenDecided:     c.ScreenDecided,
+				ScreenEscalated:   c.ScreenEscalated,
+				ScreenRangePruned: c.ScreenRangePruned,
+				ScreenEvals:       c.ScreenEvals,
 			}
 		}
 	}

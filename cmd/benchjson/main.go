@@ -31,8 +31,10 @@ import (
 
 // Result is one benchmark line in JSON form. Extra metric pairs beyond
 // ns/op (B/op, allocs/op, custom ReportMetric units) land in Metrics.
+// Gomaxprocs is read from the name's "-N" suffix (none means 1).
 type Result struct {
 	Name       string             `json:"name"`
+	Gomaxprocs int                `json:"gomaxprocs"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
@@ -198,7 +200,11 @@ func parseBench(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	res := Result{Name: fields[0], Iterations: iters}
+	res := Result{Name: fields[0], Gomaxprocs: 1, Iterations: iters}
+	if base := trimGomaxprocs(res.Name); base != res.Name {
+		// trimGomaxprocs strips only a suffix that parses.
+		res.Gomaxprocs, _ = strconv.Atoi(res.Name[len(base)+1:])
+	}
 	// Remaining fields come in value/unit pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)

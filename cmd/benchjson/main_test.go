@@ -12,6 +12,7 @@ pkg: fpgasched/internal/engine
 cpu: Example CPU @ 2.00GHz
 BenchmarkAnalyzeCold-8   	     100	     52341 ns/op	    1024 B/op	      12 allocs/op
 BenchmarkAnalyzeWarm-8   	     100	       412 ns/op
+BenchmarkColdDecide      	    4000	    226835 ns/op
 PASS
 ok  	fpgasched/internal/engine	0.5s
 `
@@ -22,11 +23,11 @@ ok  	fpgasched/internal/engine	0.5s
 	if doc.GoOS != "linux" || doc.Pkg != "fpgasched/internal/engine" {
 		t.Errorf("header = %+v", doc)
 	}
-	if len(doc.Results) != 2 {
-		t.Fatalf("results = %d, want 2", len(doc.Results))
+	if len(doc.Results) != 3 {
+		t.Fatalf("results = %d, want 3", len(doc.Results))
 	}
 	cold := doc.Results[0]
-	if cold.Name != "BenchmarkAnalyzeCold-8" || cold.Iterations != 100 || cold.NsPerOp != 52341 {
+	if cold.Name != "BenchmarkAnalyzeCold-8" || cold.Gomaxprocs != 8 || cold.Iterations != 100 || cold.NsPerOp != 52341 {
 		t.Errorf("cold = %+v", cold)
 	}
 	if cold.Metrics["B/op"] != 1024 || cold.Metrics["allocs/op"] != 12 {
@@ -35,6 +36,10 @@ ok  	fpgasched/internal/engine	0.5s
 	warm := doc.Results[1]
 	if warm.NsPerOp != 412 || len(warm.Metrics) != 0 {
 		t.Errorf("warm = %+v", warm)
+	}
+	// go test prints no suffix at GOMAXPROCS=1.
+	if one := doc.Results[2]; one.Name != "BenchmarkColdDecide" || one.Gomaxprocs != 1 {
+		t.Errorf("GOMAXPROCS=1 result = %+v", one)
 	}
 }
 

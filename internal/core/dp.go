@@ -104,6 +104,7 @@ func (dp DPTest) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 		rhs := rat.One.Sub(ut).Mul(abnd).Add(ut.Mul(rat.FromInt(int64(tk.A))))
 		var ok bool
 		if sct != nil {
+			sct.evals++
 			// Non-strict "≤": satisfied ⇔ us ≤ rhs.
 			if irhs := interval.FromRat(rhs); ius.AllLessEq(irhs) {
 				sct.decided++
@@ -130,7 +131,7 @@ func (dp DPTest) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 		}
 	}
 	if sct != nil {
-		screenStatsFrom(ctx).add(sct.decided, sct.escalated)
+		screenStatsFrom(ctx).add(*sct)
 	}
 	return v
 }

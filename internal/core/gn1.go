@@ -120,7 +120,7 @@ func (g GN1Test) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 		}
 	}
 	if sct != nil {
-		screenStatsFrom(ctx).add(sct.decided, sct.escalated)
+		screenStatsFrom(ctx).add(*sct)
 	}
 	return v
 }
@@ -147,6 +147,7 @@ func (g GN1Test) checkTaskR(dev Device, s *task.Set, k int, acc *rat.Acc, sct *s
 	rhsR := rat.FromInt(int64(dev.Columns - tk.A + 1)).Mul(slack)
 	decided := false
 	if sct != nil {
+		sct.evals++
 		if ok, decided = g.screenTask(s, k, slack, rhsR); decided {
 			sct.decided++
 		} else {

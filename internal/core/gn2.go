@@ -320,7 +320,8 @@ type gn2Scratch struct {
 	fb1         []interval.I
 	b1ok, fb1ok bool
 
-	decided, escalated uint64 // screen counters, flushed per task
+	screenCounters      // screen tally, flushed per task
+	rangeLast      bool // the last screened-out candidate went by a range evaluation
 
 	sum1, sum2 *rat.Acc
 	last       *rat.Acc // condition-2 LHS of the last exact-evaluated candidate
@@ -360,7 +361,7 @@ func (sw *gn2Sweep) prepare(k int, sc *gn2Scratch) {
 		sc.mK = rat.FromFrac(int64(tk.T), int64(tk.D))
 	}
 	sc.b1ok, sc.fb1ok = false, false
-	sc.decided, sc.escalated, sc.lastIdx = 0, 0, -1
+	sc.screenCounters, sc.lastIdx = screenCounters{}, -1
 	sc.cands, sc.lo, sc.thrU, sc.thrD = sw.cands, sw.candU[k], sw.candU, sw.candD
 	if !sw.g.Options.ExtendedLambdaSearch {
 		return
@@ -376,7 +377,7 @@ func (sw *gn2Sweep) prepare(k int, sc *gn2Scratch) {
 }
 
 // flush hands task k's screen counters to the sweep's sink.
-func (sw *gn2Sweep) flush(sc *gn2Scratch) { sw.stats.add(sc.decided, sc.escalated) }
+func (sw *gn2Sweep) flush(sc *gn2Scratch) { sw.stats.add(sc.screenCounters) }
 
 // fillB1 hoists the λ-independent case-1 βs of task k out of the
 // candidate loop: once per (i, k) pair instead of once per (i, k, λ).
@@ -416,6 +417,14 @@ func (sc *gn2Scratch) oneMinus(lambda rat.R) rat.R {
 	return rat.One.Sub(lambda)
 }
 
+// fOneMinus encloses 1 − λk for task k over the λ enclosure fLambda.
+func (sc *gn2Scratch) fOneMinus(fLambda interval.I) interval.I {
+	if sc.scaled {
+		fLambda = interval.FromRat(sc.mK).Mul(fLambda)
+	}
+	return oneIv.Sub(fLambda)
+}
+
 // validEnd returns the end of task k's valid candidates. λk > 1 makes
 // the proof's Lemma-9 instantiation (x = (1−λk)δ > 0) vacuous:
 // condition 1 would degenerate to the meaningless "ΣAi > Abnd" and
@@ -450,6 +459,9 @@ func (sw *gn2Sweep) check(ctx context.Context, k int, sc *gn2Scratch) (BoundChec
 		// kernel keeps authority if it happens.
 		sc.decided--
 		sc.escalated++
+		if sc.rangeLast {
+			sc.rangePruned--
+		}
 		if chk, ok := sw.evalCandidate(sc, sc.cands[hi-1]); ok {
 			return chk, nil
 		}
@@ -457,70 +469,61 @@ func (sw *gn2Sweep) check(ctx context.Context, k int, sc *gn2Scratch) (BoundChec
 	return BoundCheck{LHS: sc.last.Rat(), RHS: sc.lastRHS.Rat(), Satisfied: false}, nil
 }
 
-// gn2RangeBlockMin/Max bound the range screen's block sizes: blocks
-// start at Min (so a failed certification costs at most 1/Min of the
-// per-candidate work that follows), double on success, and cap at Max.
-const (
-	gn2RangeBlockMin = 8
-	gn2RangeBlockMax = 1024
-)
-
 // scan runs the candidate pipeline over cands[lo:hi) of the prepared
 // task and returns the first accepting candidate's check and index (-1
 // if none). Each candidate passes through up to three stages:
 //
-//  1. the range screen, which certifies with one interval evaluation
-//     over a block's λ hull that every candidate in the block violates
-//     both conditions (blocks grow while certification succeeds and
-//     reset when it fails, so never-certifiable ranges pay at most one
-//     range evaluation per gn2RangeBlockMin candidates);
-//  2. the point screen, the same certification for one candidate;
+//  1. the range screen, which bisects: one interval evaluation over
+//     the range's λ hull certifies that every candidate in it violates
+//     both conditions; a range it cannot certify splits at its
+//     midpoint, and the halves are scanned left first;
+//  2. the point screen, the same certification for a single candidate;
 //  3. evalCandidate, the exact kernel, for every candidate neither
 //     screen could dispose of — straddling or certainly satisfied.
 //
-// The screens only ever discard candidates that exactly violate both
+// A rejected task, whose whole range usually certifies at once, thus
+// costs one interval evaluation instead of one per candidate. The
+// screens only ever discard candidates that exactly violate both
 // conditions (the enclosure invariant makes "certainly violated" imply
-// "exactly violated"), and candidates escalate in list order, so the
-// first accepting candidate and its certificate are byte-identical to
-// the screen-off scan, which runs stage 3 alone. ctx is polled once per
-// candidate (each exact evaluation is O(N) work), so a disconnected
-// client aborts a large analysis mid-sweep.
+// "exactly violated"), and the left-first recursion hands candidates to
+// stage 3 in list order, so the first accepting candidate and its
+// certificate are byte-identical to the screen-off scan, which runs
+// stage 3 alone. ctx is polled once per range evaluation and once per
+// candidate (each evaluation is O(N) work), so a disconnected client
+// aborts a large analysis mid-sweep.
 func (sw *gn2Sweep) scan(ctx context.Context, sc *gn2Scratch, lo, hi int) (BoundCheck, int, error) {
-	block := gn2RangeBlockMin
-	for ci := lo; ci < hi; {
+	if sw.screen && hi-lo > 1 {
 		if err := ctx.Err(); err != nil {
 			return BoundCheck{}, -1, err
 		}
-		if sw.screen && hi-ci >= block {
-			fLambda := interval.Hull(interval.FromRat(sc.cands[ci]), interval.FromRat(sc.cands[ci+block-1]))
-			fOneMinus := oneIv.Sub(fLambda)
-			if sc.scaled {
-				fOneMinus = oneIv.Sub(interval.FromRat(sc.mK).Mul(fLambda))
-			}
-			if sw.violated(sc, ci, ci+block, fLambda, fOneMinus) {
-				sc.decided += uint64(block)
-				ci += block
-				block = min(2*block, gn2RangeBlockMax)
-				continue
-			}
+		fLambda := interval.Hull(interval.FromRat(sc.cands[lo]), interval.FromRat(sc.cands[hi-1]))
+		if sw.violated(sc, lo, hi, fLambda, sc.fOneMinus(fLambda)) {
+			sc.decided += uint64(hi - lo)
+			sc.rangePruned += uint64(hi - lo)
+			sc.rangeLast = true
+			return BoundCheck{}, -1, nil
 		}
-		end := min(ci+block, hi)
-		block = gn2RangeBlockMin
-		for ; ci < end; ci++ {
-			if err := ctx.Err(); err != nil {
-				return BoundCheck{}, -1, err
-			}
-			lambda := sc.cands[ci]
-			if sw.screen && sw.violated(sc, ci, ci+1, interval.FromRat(lambda), interval.FromRat(sc.oneMinus(lambda))) {
-				sc.decided++
-				continue
-			}
-			sc.escalated++
-			if chk, ok := sw.evalCandidate(sc, lambda); ok {
-				return chk, ci, nil
-			}
-			sc.lastIdx = ci
+		mid := lo + (hi-lo)/2
+		if chk, at, err := sw.scan(ctx, sc, lo, mid); err != nil || at >= 0 {
+			return chk, at, err
 		}
+		return sw.scan(ctx, sc, mid, hi)
+	}
+	for ci := lo; ci < hi; ci++ {
+		if err := ctx.Err(); err != nil {
+			return BoundCheck{}, -1, err
+		}
+		lambda := sc.cands[ci]
+		if sw.screen && sw.violated(sc, ci, ci+1, interval.FromRat(lambda), interval.FromRat(sc.oneMinus(lambda))) {
+			sc.decided++
+			sc.rangeLast = false
+			continue
+		}
+		sc.escalated++
+		if chk, ok := sw.evalCandidate(sc, lambda); ok {
+			return chk, ci, nil
+		}
+		sc.lastIdx = ci
 	}
 	return BoundCheck{}, -1, nil
 }
@@ -529,21 +532,22 @@ func (sw *gn2Sweep) scan(ctx context.Context, sc *gn2Scratch, lo, hi int) (Bound
 var oneIv = interval.Point(1)
 
 // violated is both screen stages: it certifies, with one interval
-// evaluation, that every candidate in cands[lo:hi) violates both
-// conditions for the prepared task, given enclosures fLambda of the
-// block's λ values and fOneMinus of their 1−λk. Each task's β is
-// enclosed by fbeta at the block's cases; a block that straddles a case
-// threshold takes the hull of every case its indices select (the
-// case-3 piece evaluated over the whole λ hull, a superset of its true
-// subrange, which only widens the enclosure). For any λ in the block
-// each exact quantity lies inside its enclosure, so LHS(λ) ≥ lo(sum)
-// and RHS(λ) ≤ hi(rhs); lo(sum) ≥ hi(rhs) for both conditions therefore
-// proves every candidate fails. It can return false negatives (a
-// violating block it cannot certify), never screen out an accepting
-// candidate. Condition 1 is strict "<" (violated ⇔ ≥); condition 2's
-// violation depends on the strictness option.
+// evaluation (counted in sc.evals), that every candidate in
+// cands[lo:hi) violates both conditions for the prepared task, given
+// enclosures fLambda of the range's λ values and fOneMinus of their
+// 1−λk. Each task's β is enclosed by fbeta at the range's cases; a
+// range that straddles a case threshold takes the hull of every case
+// its indices select (the case-3 piece evaluated over the whole λ hull,
+// a superset of its true subrange, which only widens the enclosure).
+// For any λ in the range each exact quantity lies inside its enclosure,
+// so LHS(λ) ≥ lo(sum) and RHS(λ) ≤ hi(rhs); lo(sum) ≥ hi(rhs) for both
+// conditions therefore proves every candidate fails. It can return
+// false negatives (a violating range it cannot certify), never screen
+// out an accepting candidate. Condition 1 is strict "<" (violated ⇔
+// ≥); condition 2's violation depends on the strictness option.
 func (sw *gn2Sweep) violated(sc *gn2Scratch, lo, hi int, fLambda, fOneMinus interval.I) bool {
 	sw.fillFB1(sc)
+	sc.evals++
 	var s1, s2 interval.Acc
 	for i := range sw.ui {
 		fb := sw.fbeta(sc, i, lo, fLambda)
@@ -579,11 +583,19 @@ func (sw *gn2Sweep) fbeta(sc *gn2Scratch, i, ci int, fLambda interval.I) interva
 }
 
 // fbetaBelow is fbeta for a candidate below task i's case-1 threshold.
+// Case 3 scales by Di and divides by Dk, exact positive points for any
+// deadline up to 2^53 ticks, so it uses the two-bound scalar operations
+// (the same bounds the general ones compute for a point) and falls back
+// to the general ones only beyond that.
 func (sw *gn2Sweep) fbetaBelow(sc *gn2Scratch, i, ci int, fLambda interval.I) interval.I {
 	if ci >= sc.thrD[i] {
 		return sw.fmid(sc, i)
 	}
-	return sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(sw.fD[sc.k]))
+	di, dk := sw.fD[i], sw.fD[sc.k]
+	if di.Lo == di.Hi && dk.Lo == dk.Hi {
+		return sw.fui[i].Add(sw.fC[i].Sub(fLambda.MulPos(di.Lo)).QuoPos(dk.Lo))
+	}
+	return sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(di)).Quo(dk))
 }
 
 // fmid encloses beta's middle case.

@@ -28,21 +28,29 @@ type (
 // arithmetic, Escalated the number that required the exact kernel —
 // because the interval straddled the comparison, or because the bound
 // decides a verdict or certificate and is therefore always re-verified
-// exactly. The fields are atomics so parallel sweep workers can share
-// one sink; kernels accumulate locally and flush once per task.
+// exactly. RangePruned is the part of Decided disposed of by a GN2
+// range evaluation (one enclosure over a whole run of candidates), and
+// Evals the number of interval evaluations run, range and point alike
+// (GN1/DP: one per screened bound). The fields are atomics so parallel
+// sweep workers can share one sink; kernels accumulate locally and
+// flush once per task.
 type ScreenStats struct {
-	Decided   atomic.Uint64
-	Escalated atomic.Uint64
+	Decided     atomic.Uint64
+	Escalated   atomic.Uint64
+	RangePruned atomic.Uint64
+	Evals       atomic.Uint64
 }
 
-// add flushes a local (decided, escalated) tally; nil-safe so kernels
-// can call it unconditionally.
-func (s *ScreenStats) add(decided, escalated uint64) {
-	if s == nil || (decided == 0 && escalated == 0) {
+// add flushes a local tally; nil-safe so kernels can call it
+// unconditionally.
+func (s *ScreenStats) add(c screenCounters) {
+	if s == nil || c == (screenCounters{}) {
 		return
 	}
-	s.Decided.Add(decided)
-	s.Escalated.Add(escalated)
+	s.Decided.Add(c.decided)
+	s.Escalated.Add(c.escalated)
+	s.RangePruned.Add(c.rangePruned)
+	s.Evals.Add(c.evals)
 }
 
 // WithScreen returns a context that switches the kernels' interval
@@ -81,5 +89,5 @@ func screenStatsFrom(ctx context.Context) *ScreenStats {
 // accumulate into it during an analysis and flush once via
 // ScreenStats.add. A nil *screenCounters doubles as "screen off".
 type screenCounters struct {
-	decided, escalated uint64
+	decided, escalated, rangePruned, evals uint64
 }

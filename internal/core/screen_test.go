@@ -145,3 +145,44 @@ func TestScreenStatsSharedAcrossParallelSweep(t *testing.T) {
 			parSt.Decided.Load(), parSt.Escalated.Load())
 	}
 }
+
+// TestColdMixGN2ScreenWork pins what the bisecting range screen costs
+// on the served analyze-cold mix (coldSets) under Decide: GN2 rejects
+// the tasks of nearly every set that reaches it, and a rejected task's
+// whole candidate range should certify with about one interval
+// evaluation. The bound of 1.6 evaluations per task leaves headroom
+// over the measured 1.49; screening each of a task's ~15 candidates on
+// its own would cost ~15. No candidate may need the exact kernel.
+func TestColdMixGN2ScreenWork(t *testing.T) {
+	dev := core.NewDevice(workload.FigureDeviceColumns)
+	nf := core.ForNF()
+	ctx, st := statsCtx()
+	sets, tasks := 0, 0
+	for _, s := range coldSets(512) {
+		// Only sets that DP and GN1 both reject reach GN2 under any-nf.
+		if v := core.Decide(context.Background(), nf, dev, s); len(v.SubVerdicts) < len(nf.Tests) {
+			continue
+		}
+		if v := core.Decide(ctx, core.GN2Test{}, dev, s); v.Err != nil {
+			t.Fatal(v.Err)
+		}
+		sets++
+		tasks += s.Len()
+	}
+	if tasks == 0 {
+		t.Fatal("no cold set reached GN2")
+	}
+	evals, esc := st.Evals.Load(), st.Escalated.Load()
+	perTask := float64(evals) / float64(tasks)
+	t.Logf("%d sets, %d tasks reach GN2: %d evaluations (%.2f per task), %d range-pruned, %d decided, %d escalated",
+		sets, tasks, evals, perTask, st.RangePruned.Load(), st.Decided.Load(), esc)
+	if perTask > 1.6 {
+		t.Errorf("GN2 screen evaluations per task = %.2f, want <= 1.6", perTask)
+	}
+	if esc != 0 {
+		t.Errorf("exact evaluations = %d, want 0", esc)
+	}
+	if st.RangePruned.Load() > st.Decided.Load() {
+		t.Errorf("range-pruned %d exceeds decided %d", st.RangePruned.Load(), st.Decided.Load())
+	}
+}

@@ -127,9 +127,13 @@ type Stats struct {
 	// screen counters across completed analyses: bounds disposed of with
 	// no exact arithmetic vs bounds that escalated to the exact kernel
 	// (straddling enclosures and always-verified certificate values).
-	// Both stay zero when the screen is disabled. Aborted analyses
-	// contribute nothing, mirroring the Analyses counter.
+	// ScreenRangePruned is the part of ScreenDecided disposed of by GN2
+	// range evaluations, ScreenEvals the interval evaluations run (see
+	// core.ScreenStats). All stay zero when the screen is disabled.
+	// Aborted analyses contribute nothing, mirroring the Analyses
+	// counter.
 	ScreenDecided, ScreenEscalated uint64
+	ScreenRangePruned, ScreenEvals uint64
 	// Tests breaks hits, misses and executed analyses down by test name
 	// (the cache key's test component), so operators can see which
 	// registry entries are hot and how well each one's verdicts memoize.
@@ -139,10 +143,12 @@ type Stats struct {
 
 // TestStats is the per-test-name slice of the engine counters. The
 // hit/miss/analysis semantics match the aggregate fields of Stats, and
-// the screen counters the aggregate ScreenDecided/ScreenEscalated.
+// the screen counters the aggregate ScreenDecided/ScreenEscalated/
+// ScreenRangePruned/ScreenEvals.
 type TestStats struct {
 	Hits, Misses, Analyses         uint64
 	ScreenDecided, ScreenEscalated uint64
+	ScreenRangePruned, ScreenEvals uint64
 }
 
 // Request names one analysis: a taskset against a device under a test.
@@ -191,6 +197,7 @@ type Engine struct {
 		hits, misses, evictions        uint64
 		analyses, nanos, upgrades      uint64
 		screenDecided, screenEscalated uint64
+		screenRangePruned, screenEvals uint64
 		perTest                        map[string]*TestStats
 	}
 }
@@ -535,10 +542,15 @@ func (e *Engine) own(ctx context.Context, src source, k flightKey, c *call, upgr
 	ts := e.perTestLocked(k.test)
 	ts.Analyses++
 	d, esc := ss.Decided.Load(), ss.Escalated.Load()
+	rp, ev := ss.RangePruned.Load(), ss.Evals.Load()
 	e.stats.screenDecided += d
 	e.stats.screenEscalated += esc
+	e.stats.screenRangePruned += rp
+	e.stats.screenEvals += ev
 	ts.ScreenDecided += d
 	ts.ScreenEscalated += esc
+	ts.ScreenRangePruned += rp
+	ts.ScreenEvals += ev
 	e.stats.Unlock()
 
 	c.verdict = v
@@ -695,16 +707,18 @@ func (e *Engine) runAnalysis(ctx context.Context, t core.Test, k flightKey, cano
 func (e *Engine) Stats() Stats {
 	e.stats.Lock()
 	s := Stats{
-		Hits:            e.stats.hits,
-		Misses:          e.stats.misses,
-		Evictions:       e.stats.evictions,
-		Analyses:        e.stats.analyses,
-		AnalysisNanos:   e.stats.nanos,
-		Upgrades:        e.stats.upgrades,
-		Workers:         cap(e.sem),
-		SweepWorkers:    e.sweepWorkers,
-		ScreenDecided:   e.stats.screenDecided,
-		ScreenEscalated: e.stats.screenEscalated,
+		Hits:              e.stats.hits,
+		Misses:            e.stats.misses,
+		Evictions:         e.stats.evictions,
+		Analyses:          e.stats.analyses,
+		AnalysisNanos:     e.stats.nanos,
+		Upgrades:          e.stats.upgrades,
+		Workers:           cap(e.sem),
+		SweepWorkers:      e.sweepWorkers,
+		ScreenDecided:     e.stats.screenDecided,
+		ScreenEscalated:   e.stats.screenEscalated,
+		ScreenRangePruned: e.stats.screenRangePruned,
+		ScreenEvals:       e.stats.screenEvals,
 	}
 	if len(e.stats.perTest) > 0 {
 		s.Tests = make(map[string]TestStats, len(e.stats.perTest))

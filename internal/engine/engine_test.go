@@ -129,18 +129,25 @@ func TestScreenCounterHarvest(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := on.Stats()
-	if st.ScreenDecided+st.ScreenEscalated == 0 {
+	if st.ScreenDecided+st.ScreenEscalated == 0 || st.ScreenEvals == 0 {
 		t.Fatalf("no screen counters harvested: %+v", st)
+	}
+	if st.ScreenRangePruned > st.ScreenDecided {
+		t.Errorf("range-pruned %d exceeds decided %d", st.ScreenRangePruned, st.ScreenDecided)
+	}
+	screen := func(s Stats) [4]uint64 {
+		return [4]uint64{s.ScreenDecided, s.ScreenEscalated, s.ScreenRangePruned, s.ScreenEvals}
 	}
 	// A cache hit runs no kernel: the counters must not move.
 	if _, err := on.Analyze(context.Background(), Request{Columns: 10, Set: s, Test: core.GN2Test{}}); err != nil {
 		t.Fatal(err)
 	}
 	st2 := on.Stats()
-	if st2.ScreenDecided != st.ScreenDecided || st2.ScreenEscalated != st.ScreenEscalated {
+	if screen(st2) != screen(st) {
 		t.Errorf("cache hit moved screen counters: %+v -> %+v", st, st2)
 	}
-	if g := st.Tests["GN2"]; g.ScreenDecided != st.ScreenDecided || g.ScreenEscalated != st.ScreenEscalated {
+	g := st.Tests["GN2"]
+	if [4]uint64{g.ScreenDecided, g.ScreenEscalated, g.ScreenRangePruned, g.ScreenEvals} != screen(st) {
 		t.Errorf("GN2 screen counters %+v not attributed to GN2 (aggregates %+v)", g, st)
 	}
 }
@@ -506,9 +513,10 @@ func TestNilInputs(t *testing.T) {
 
 // BenchmarkAnalyzeCold measures the uncached GN2 analysis of the paper's
 // Table 3 set; BenchmarkAnalyzeWarm the memoized path for permuted
-// copies. The warm path must be at least an order of magnitude faster
-// (asserted as a test in TestWarmSpeedup at the server layer benchmark;
-// here the two benchmarks expose the ratio).
+// copies. Here the two benchmarks expose the ratio; the server package's
+// TestWarmSpeedup asserts it, on a 60-task set: an engine hit at least
+// 10x faster than a cold engine analysis, and every warm POST over HTTP
+// a hit that runs no analysis.
 func BenchmarkAnalyzeCold(b *testing.B) {
 	e := New(Config{Workers: 1, CacheSize: -1})
 	defer e.Close()

@@ -7,9 +7,10 @@ import (
 	"fpgasched/internal/rat"
 )
 
-// FuzzIntervalOps cross-checks every interval operation, predicate, and
-// the accumulator against exact rat.R/big.Rat arithmetic: for arbitrary
-// rational inputs — including values driven onto rat's big.Rat overflow
+// FuzzIntervalOps cross-checks every interval operation (the positive
+// scalar MulPos/QuoPos included), predicate, and the accumulator
+// against exact rat.R/big.Rat arithmetic: for arbitrary rational
+// inputs — including values driven onto rat's big.Rat overflow
 // fallback by squaring — the computed interval must always enclose the
 // exact result (never exclude it), comparisons decided on intervals
 // must agree with the exact comparison, and nothing may panic (division
@@ -55,6 +56,29 @@ func FuzzIntervalOps(f *testing.F) {
 		enc("Neg", x.Neg(), a.Neg())
 		enc("Mul", x.Mul(y), a.Mul(b))
 		enc("MulPos", x.MulPos(float64(c)), a.Mul(rat.FromInt(int64(c))))
+		// QuoPos by the small scalar c, then both scalar operations by a
+		// wide one (d2, exact in float64 up to 2^53), as the GN2 screen
+		// applies them to integer deadlines. For a positive scalar they
+		// must also return exactly the bounds of the general operations
+		// on the point, so switching between them never moves a decision.
+		if qc := x.QuoPos(float64(c)); c > 0 {
+			enc("QuoPos", qc, a.Quo(rat.FromInt(int64(c))))
+		} else if qc != Whole {
+			t.Fatalf("QuoPos(%d) = %+v, want Whole", c, qc)
+		}
+		for _, w := range []int64{int64(c), d2} {
+			if w <= 0 || w > 1<<53 {
+				continue
+			}
+			p := Point(float64(w))
+			mp, qp := x.MulPos(float64(w)), x.QuoPos(float64(w))
+			enc("MulPos/scalar", mp, a.Mul(rat.FromInt(w)))
+			enc("QuoPos/scalar", qp, a.Quo(rat.FromInt(w)))
+			if mp != x.Mul(p) || qp != x.Quo(p) {
+				t.Fatalf("scalar ops by %d on %+v: MulPos %+v vs Mul %+v, QuoPos %+v vs Quo %+v",
+					w, x, mp, x.Mul(p), qp, x.Quo(p))
+			}
+		}
 		enc("Min", Min(x, y), rat.Min(a, b))
 		enc("Max", Max(x, y), rat.Max(a, b))
 		// Quo must be total: with b possibly zero it may degrade to

@@ -191,6 +191,16 @@ func (x I) Quo(y I) I {
 	return fix(dn(lo), up(hi))
 }
 
+// QuoPos returns an enclosure of x / c for an exact scalar c > 0 (e.g.
+// an integer deadline): two quotients instead of four. Any other c
+// yields Whole, as Quo does for a divisor containing zero.
+func (x I) QuoPos(c float64) I {
+	if !(c > 0) {
+		return Whole
+	}
+	return fix(dn(x.Lo/c), up(x.Hi/c))
+}
+
 // Min returns an enclosure of min(a, b): the pointwise minimum of the
 // bounds, which is exact (no rounding, no widening needed). The direct
 // comparisons (rather than math.Min) rely on the package invariant that

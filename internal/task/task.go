@@ -161,12 +161,20 @@ func (s *Set) UtilizationT() *big.Rat {
 }
 
 // UtilizationS returns the exact total system utilization Σ Ci·Ai/Ti.
+// The terms are summed as one unreduced fraction over the product of
+// the periods and reduced once at the end: the same value as adding one
+// big.Rat per task, without a gcd on a growing denominator per task.
 func (s *Set) UtilizationS() *big.Rat {
-	sum := new(big.Rat)
-	for _, t := range s.Tasks {
-		sum.Add(sum, t.UtilizationS())
+	num, den := new(big.Int), big.NewInt(1)
+	var ca, a, t big.Int
+	for _, tk := range s.Tasks {
+		// num/den + Ci·Ai/Ti = (num·Ti + Ci·Ai·den) / (den·Ti)
+		t.SetInt64(int64(tk.T))
+		ca.Mul(ca.SetInt64(int64(tk.C)), a.SetInt64(int64(tk.A)))
+		num.Add(num.Mul(num, &t), ca.Mul(&ca, den))
+		den.Mul(den, &t)
 	}
-	return sum
+	return new(big.Rat).SetFrac(num, den)
 }
 
 // AMax returns the largest task area, or 0 for an empty set.

@@ -241,3 +241,51 @@ func TestTaskMarshalJSONDirect(t *testing.T) {
 		t.Errorf("round trip: %+v != %+v", back, tk)
 	}
 }
+
+// utilizationSRef is the per-term big.Rat chain UtilizationS replaced:
+// the reference its single-reduction sum must equal.
+func utilizationSRef(s *Set) *big.Rat {
+	sum := new(big.Rat)
+	for _, t := range s.Tasks {
+		sum.Add(sum, t.UtilizationS())
+	}
+	return sum
+}
+
+// TestUtilizationSMatchesPerTermSum: summing over an unreduced common
+// denominator and reducing once gives exactly the per-term big.Rat sum,
+// for empty sets, shared and coprime periods, and components near the
+// int64 range (where Ci·Ai overflows int64).
+func TestUtilizationSMatchesPerTermSum(t *testing.T) {
+	check := func(s *Set) bool {
+		got, want := s.UtilizationS(), utilizationSRef(s)
+		if got.Cmp(want) != 0 || got.String() != want.String() {
+			t.Logf("UtilizationS = %v, per-term sum = %v", got, want)
+			return false
+		}
+		return true
+	}
+	if !check(NewSet()) {
+		t.Fatal("empty set")
+	}
+	if err := quick.Check(func(cs, ts []int64, as []uint16, wide bool) bool {
+		s := NewSet()
+		for i := range cs {
+			c, p, a := cs[i], int64(1), 1
+			if i < len(ts) && ts[i] != 0 {
+				p = ts[i]
+			}
+			if i < len(as) {
+				a = int(as[i]) + 1
+			}
+			if !wide {
+				// Small periods repeat, so terms share denominators.
+				c, p = c%1000+1000, p%50+51
+			}
+			s.Tasks = append(s.Tasks, Task{C: timeunit.Time(c), D: timeunit.Time(p), T: timeunit.Time(p), A: a})
+		}
+		return check(s)
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -255,3 +255,17 @@ func TestProfileUSRangeSanity(t *testing.T) {
 		t.Errorf("temporally-heavy mean utilization = %g, expected ≈0.725", mean)
 	}
 }
+
+// BenchmarkGenerateWithTargetUS draws one rescaled 30-task set per
+// iteration, alternating the Unconstrained and Heterogeneous profiles
+// over a [10, 60] utilization target: the served analyze-cold client's
+// generator, whose cost is dominated by the exact UtilizationS sums.
+func BenchmarkGenerateWithTargetUS(b *testing.B) {
+	profs := []Profile{Unconstrained(30), Heterogeneous(30)}
+	r := Rand(7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		profs[i%2].GenerateWithTargetUS(r, 10+r.Float64()*50)
+	}
+}
