@@ -64,10 +64,13 @@ bench-serve:
 # re-analysis, the pre-incremental behavior), on paper-sized (10-task
 # Figure-3b profile) and 100/200-task resident sets, with and without a
 # durable-store append per mutation. The from-scratch serving baseline
-# is the wal=* admit-heavy series in BENCH_serve.json.
+# is the wal=* admit-heavy series in BENCH_serve.json. BenchmarkAdmitChurn
+# is perfbench's admit-churn write path in process (DP/GN1/GN2, 30
+# residents), reporting rejected and admitted Request latency apart.
 bench-admit:
 	mkdir -p bench-results
 	$(GO) test -bench 'BenchmarkAdmitRelease' -benchtime 200x -run XXX ./internal/admission/ | tee bench-results/BENCH_admit.txt
+	$(GO) test -bench 'BenchmarkAdmitChurn' -benchtime 2000x -run XXX ./internal/admission/ | tee -a bench-results/BENCH_admit.txt
 	$(GO) run ./cmd/benchjson -in bench-results/BENCH_admit.txt -out bench-results/BENCH_admit.json
 
 crash-smoke: ## live-daemon kill -9 + WAL replay smoke, archives BENCH_recovery.json

@@ -130,9 +130,10 @@ type MetricsResponse struct {
 
 // AdmissionMetrics is the wire form of the admission counters, summed
 // over every live controller. A request runs one or more test analyses;
-// IncrementalHits counts analyses served by a test's persistent
-// incremental state, FullRuns counts from-scratch analyses (no state,
-// cold state, or delta logic unable to certify the verdict).
+// IncrementalHits counts analyses served by a test's admit state —
+// including rejections it certifies from the newcomer's own bound,
+// even on a cold state — and FullRuns counts from-scratch analyses (no
+// state, or a state unable to certify the verdict).
 type AdmissionMetrics struct {
 	Controllers     int    `json:"controllers"`
 	Requests        uint64 `json:"requests"`

@@ -46,9 +46,10 @@ type Decision struct {
 
 // Stats is a snapshot of a controller's admission counters. A request
 // runs one or more test analyses; each analysis is served either by the
-// test's persistent incremental state (IncrementalHits) or by a full
-// from-scratch run (FullRuns) — the fallback whenever no state exists,
-// the state is cold, or its delta logic cannot certify the verdict.
+// test's admit state (IncrementalHits) — a rejection of a newcomer that
+// fails its own bound included, even on a cold state — or by a full
+// from-scratch run (FullRuns), the fallback whenever no state exists or
+// the state cannot certify the verdict.
 type Stats struct {
 	Requests uint64
 	Admitted uint64

@@ -3,7 +3,9 @@ package admission
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"fpgasched/internal/core"
 	"fpgasched/internal/durable"
@@ -171,6 +173,85 @@ func BenchmarkAdmitRelease(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkAdmitChurn is the write path of perfbench's admit-churn
+// workload, in process: a DP/GN1/GN2 controller on the 100-column
+// figure device, filled with light Heterogeneous tasks to 30
+// residents, then one operation per iteration — admit a fresh task
+// from the full Heterogeneous profile (whose heavy draws are mostly
+// rejected) and, when admitted, release the newcomer (even admits,
+// LIFO) or a random older resident (odd admits), keeping 30 residents.
+// Requests are timed separately by outcome: rejected-ns/op and
+// admitted-ns/op are the mean Request latency of each, so the cost of
+// a rejection is visible next to the admissions it is mixed with.
+// path=scratch is the from-scratch reference (DisableIncremental).
+func BenchmarkAdmitChurn(b *testing.B) {
+	const residents = 30
+	for _, path := range []string{"incremental", "scratch"} {
+		b.Run("path="+path, func(b *testing.B) {
+			c, err := NewNFController(workload.FigureDeviceColumns)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if path == "scratch" {
+				c.DisableIncremental()
+			}
+			ctx := context.Background()
+			r := workload.Rand(7)
+			drawn := 0
+			draw := func(p workload.Profile) task.Task {
+				tk := p.Generate(r).Tasks[0]
+				tk.Name = fmt.Sprintf("c%d", drawn)
+				drawn++
+				return tk
+			}
+			light := workload.Heterogeneous(1)
+			light.HeavyFraction = 0
+			var live []string
+			for len(live) < residents {
+				if drawn > 2000 {
+					b.Fatalf("only %d residents after %d draws", len(live), drawn)
+				}
+				if tk := draw(light); c.Request(ctx, tk).Admitted {
+					live = append(live, tk.Name)
+				}
+			}
+			var admitted, rejected int
+			var admitNs, rejectNs time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tk := draw(workload.Heterogeneous(1))
+				start := time.Now()
+				d := c.Request(ctx, tk)
+				took := time.Since(start)
+				if !d.Admitted {
+					rejected++
+					rejectNs += took
+					continue
+				}
+				admitted++
+				admitNs += took
+				victim := len(live)
+				if admitted%2 == 0 {
+					victim = r.IntN(len(live))
+				}
+				live = append(live, tk.Name)
+				if !c.Release(live[victim]) {
+					b.Fatalf("release %s failed", live[victim])
+				}
+				live = slices.Delete(live, victim, victim+1)
+			}
+			b.StopTimer()
+			if rejected > 0 {
+				b.ReportMetric(float64(rejectNs.Nanoseconds())/float64(rejected), "rejected-ns/op")
+			}
+			if admitted > 0 {
+				b.ReportMetric(float64(admitNs.Nanoseconds())/float64(admitted), "admitted-ns/op")
+			}
+			b.ReportMetric(float64(rejected)/float64(b.N), "rejects/op")
+		})
 	}
 }
 

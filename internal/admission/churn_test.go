@@ -154,10 +154,14 @@ func churnCompare(t *testing.T, label string, columns int, pool []task.Task, see
 }
 
 // gn2PinnedHits and gn2PinnedFullRuns are the GN2-only churn runs'
-// routing totals over the generated corpus.
+// routing totals over the generated corpus. A rejection the admit
+// state certifies from the newcomer's own sweep — warm or cold — is a
+// hit. gn2PinnedAnalyses is their sum, the number of GN2-only requests
+// that reached an analysis: every one routes exactly one way.
 const (
-	gn2PinnedHits     = 1411
-	gn2PinnedFullRuns = 8312
+	gn2PinnedHits     = 4535
+	gn2PinnedFullRuns = 5188
+	gn2PinnedAnalyses = 9723
 )
 
 func TestChurnDifferentialGenerated(t *testing.T) {
@@ -213,6 +217,10 @@ func TestChurnDifferentialGenerated(t *testing.T) {
 			// served and how many fell back to a full run. The counts do
 			// not depend on the screen, which never changes which
 			// candidates a scan visits.
+			if gn2.IncrementalHits+gn2.FullRuns != gn2PinnedAnalyses {
+				t.Fatalf("GN2-only requests routed %d + %d ways, want %d analyses",
+					gn2.IncrementalHits, gn2.FullRuns, gn2PinnedAnalyses)
+			}
 			if gn2.IncrementalHits != gn2PinnedHits || gn2.FullRuns != gn2PinnedFullRuns {
 				t.Fatalf("GN2-only routing moved: %d incremental hits / %d full runs, want %d / %d",
 					gn2.IncrementalHits, gn2.FullRuns, gn2PinnedHits, gn2PinnedFullRuns)
@@ -266,11 +274,19 @@ func TestChurnGN2Variants(t *testing.T) {
 
 // TestIncrementalAfterReplayMatches rebuilds a controller the way WAL
 // recovery does (ForceAdmit, no analysis) and verifies the incremental
-// path recovers — first request falls back, acceptance re-warms —
-// while matching from-scratch decisions throughout.
+// path recovers while matching from-scratch decisions throughout. A
+// replayed state is cold: it can still reject a newcomer that fails
+// its own bound, but the first admission must come from a full-run
+// fallback (whose acceptance re-warms the state). Seeds whose
+// post-replay requests are all rejected say nothing about that, so
+// seeds are drawn until 20 with an admission are covered.
 func TestIncrementalAfterReplayMatches(t *testing.T) {
 	p := workload.SpatiallyLightTemporallyHeavy(8)
-	for seed := uint64(1); seed <= 20; seed++ {
+	covered := 0
+	for seed := uint64(1); covered < 20; seed++ {
+		if seed > 200 {
+			t.Fatalf("only %d of seeds 1-200 admit a post-replay request, want 20", covered)
+		}
 		s := p.Generate(workload.Rand(seed))
 		inc, _ := NewController(workload.FigureDeviceColumns, core.GN2Test{})
 		ref, _ := NewController(workload.FigureDeviceColumns, core.GN2Test{})
@@ -298,8 +314,16 @@ func TestIncrementalAfterReplayMatches(t *testing.T) {
 			dr := ref.Request(ctx, tk)
 			churnDecisionsEqual(t, "post-replay", di, dr)
 		}
-		if st := inc.Stats(); st.Requests > 0 && st.FullRuns == 0 {
-			t.Fatalf("seed %d: expected at least one full-run fallback after replay, got %+v", seed, st)
+		st := inc.Stats()
+		if st.Admitted == 0 {
+			continue
+		}
+		covered++
+		if st.FullRuns == 0 {
+			t.Fatalf("seed %d: admitted after replay without a full-run fallback: %+v", seed, st)
+		}
+		if covered == 20 {
+			t.Logf("20 seeds admit after replay within seeds 1-%d", seed)
 		}
 	}
 }

@@ -75,11 +75,7 @@ func (dp DPTest) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 			FailingTask: -1,
 		}
 	}
-	slackArea := dev.Columns - s.AMax() // A(H) − Amax
-	if !dp.RealValuedAlpha {
-		slackArea++ // integer-area correction: A(H) − Amax + 1
-	}
-	abnd := rat.FromInt(int64(slackArea))
+	abnd := dp.areaBound(dev, s)
 	// US(Γ) = Σ Ci·Ai/Ti, exact, computed once for the whole loop.
 	var usAcc rat.Acc
 	for _, t := range s.Tasks {
@@ -99,9 +95,7 @@ func (dp DPTest) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 	}
 	v := Verdict{Test: name, Schedulable: true, FailingTask: -1}
 	for k, tk := range s.Tasks {
-		// RHS = Abnd·(1 − UT(τk)) + US(τk)
-		ut := rat.FromFrac(int64(tk.C), int64(tk.T))
-		rhs := rat.One.Sub(ut).Mul(abnd).Add(ut.Mul(rat.FromInt(int64(tk.A))))
+		rhs := dpBound(tk, abnd)
 		var ok bool
 		if sct != nil {
 			sct.evals++
@@ -127,11 +121,31 @@ func (dp DPTest) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 		if !ok && v.Schedulable {
 			v.Schedulable = false
 			v.FailingTask = k
-			v.Reason = fmt.Sprintf("US(Γ)=%s exceeds bound %s at task %d", us.RatString(), rhs.RatString(), k)
+			v.Reason = dpReason(us, rhs, k)
 		}
 	}
 	if sct != nil {
 		screenStatsFrom(ctx).add(*sct)
 	}
 	return v
+}
+
+// areaBound is A(H) − Amax + 1, or A(H) − Amax under RealValuedAlpha.
+func (dp DPTest) areaBound(dev Device, s *task.Set) rat.R {
+	slackArea := dev.Columns - s.AMax()
+	if !dp.RealValuedAlpha {
+		slackArea++ // integer-area correction: A(H) − Amax + 1
+	}
+	return rat.FromInt(int64(slackArea))
+}
+
+// dpBound is task tk's right-hand side Abnd·(1 − UT(τk)) + US(τk).
+func dpBound(tk task.Task, abnd rat.R) rat.R {
+	ut := rat.FromFrac(int64(tk.C), int64(tk.T))
+	return rat.One.Sub(ut).Mul(abnd).Add(ut.Mul(rat.FromInt(int64(tk.A))))
+}
+
+// dpReason explains US(Γ) exceeding task k's bound rhs.
+func dpReason(us, rhs rat.R, k int) string {
+	return fmt.Sprintf("US(Γ)=%s exceeds bound %s at task %d", us.RatString(), rhs.RatString(), k)
 }

@@ -86,16 +86,8 @@ func (g GN1Test) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 	if err := ctx.Err(); err != nil {
 		return aborted(name, err)
 	}
-	if v, ok := precheck(name, dev, s); !ok {
+	if v, ok := g.applicable(dev, s); !ok {
 		return v
-	}
-	if !s.ConstrainedDeadlines() {
-		return Verdict{
-			Test:        name,
-			Schedulable: false,
-			Reason:      "GN1 requires constrained deadlines (D ≤ T)",
-			FailingTask: -1,
-		}
 	}
 	var sct *screenCounters
 	if ScreenOn(ctx) {
@@ -123,6 +115,25 @@ func (g GN1Test) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 		screenStatsFrom(ctx).add(*sct)
 	}
 	return v
+}
+
+// applicable returns the verdict for a set GN1 does not analyze — one
+// failing the device precheck or with a post-period deadline — and
+// false, or true when the per-task inequalities decide.
+func (g GN1Test) applicable(dev Device, s *task.Set) (Verdict, bool) {
+	name := g.Name()
+	if v, ok := precheck(name, dev, s); !ok {
+		return v, false
+	}
+	if !s.ConstrainedDeadlines() {
+		return Verdict{
+			Test:        name,
+			Schedulable: false,
+			Reason:      "GN1 requires constrained deadlines (D ≤ T)",
+			FailingTask: -1,
+		}, false
+	}
+	return Verdict{}, true
 }
 
 // checkTaskR evaluates Theorem 2's inequality for task index k,

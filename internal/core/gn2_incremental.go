@@ -44,8 +44,9 @@ import (
 // journal holds the old headers at zero copy cost) and stays warm. Any
 // other mutation — out-of-order release, WAL replay, rollback
 // reinsert, admission proven by another test, Amax/Amin drift — drops
-// to cold in O(1), and the next TryAdd falls back to the full
-// analysis, whose accepting verdict re-warms the state (ObserveFull).
+// to cold in O(1); a cold TryAdd still rejects a newcomer that fails
+// its own bound, and otherwise falls back to the full analysis, whose
+// accepting verdict re-warms the state (ObserveFull).
 // A full-run verdict carries witnesses but not both condition sums, so
 // the first TryAdd after a re-warm rebuilds the sums with one exact
 // evaluation per task and caches them via its pend on success. Sum
@@ -70,7 +71,6 @@ type gn2AdmitState struct {
 	wit          []rat.R // witness λ per resident task
 	ws1, ws2     []rat.R // exact condition sums at the witness (nil right after a re-warm)
 	wAmax, wAmin int
-	abnd, amin   rat.R
 
 	undo []gn2Undo
 	pend *gn2Pend
@@ -133,9 +133,6 @@ func (st *gn2AdmitState) goCold() {
 
 func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Task) (Verdict, bool) {
 	st.pend = nil
-	if !st.warm {
-		return Verdict{}, false
-	}
 	name := st.g.Name()
 	if err := ctx.Err(); err != nil {
 		return aborted(name, err), true
@@ -143,32 +140,55 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 	if v, ok := precheck(name, st.dev, trial); !ok {
 		return v, true
 	}
-	n := len(st.tasks)
-	if len(trial.Tasks) != n+1 || trial.Tasks[n] != t {
-		return Verdict{}, false
+	n := len(trial.Tasks) - 1
+	reject := func(k int) (Verdict, bool) {
+		return Verdict{
+			Test:        name,
+			Schedulable: false,
+			FailingTask: k,
+			Reason: fmt.Sprintf("no λ ≥ C/T satisfies condition 1 or 2 for task %d (%s)",
+				k, trial.Tasks[k].Name),
+		}, true
 	}
-	// The delta argument needs the condition RHS invariants unchanged:
-	// a newcomer that widens Amax or narrows Amin shifts every bound
-	// and invalidates all witnesses at once.
-	if t.A > st.wAmax || t.A < st.wAmin {
-		return Verdict{}, false
-	}
-	for i := range st.tasks {
-		if st.tasks[i] != trial.Tasks[i] {
-			return Verdict{}, false
-		}
-	}
-
-	// Full sweep invariants over the trial set: its candidate list is
-	// exactly the resident list with the newcomer's values spliced in,
-	// and every candidate runs through the same pipeline as the full
-	// sweep. The interval screen (verdict-invariant, so either route
-	// yields the same checks) pre-filters fresh and scanned candidates.
-	sw := st.g.newSweep(trial, st.abnd, st.amin, true)
+	// The newcomer first, over the trial's own bounds: it has no
+	// witness, so its task gets the full sweep, and a failure rejects
+	// before any resident is rechecked, whether or not the delta
+	// argument applies (warmFor). Off the warm path the sweep builds no
+	// evidence and a passing newcomer falls back to the full analysis.
+	// On it the bounds equal the resident set's (the newcomer's area
+	// lies inside them), the candidate list is the resident list with
+	// the newcomer's values spliced in, and the newcomer's accepting
+	// check is its certificate entry.
+	warm := st.warmFor(trial, t)
+	abnd := rat.FromInt(int64(st.dev.Columns - trial.AMax() + 1))
+	amin := rat.FromInt(int64(trial.AMin()))
+	sw := st.g.newSweep(trial, abnd, amin, warm)
 	if ScreenOn(ctx) {
 		sw.initScreen(screenStatsFrom(ctx))
 	}
 	sc := sw.newScratch()
+	chk, err := sw.check(ctx, n, sc)
+	if err != nil {
+		return aborted(name, err), true
+	}
+	if !chk.Satisfied {
+		return reject(n)
+	}
+	if !warm {
+		return Verdict{}, false
+	}
+
+	// The newcomer's cached sums stay unseeded (zero — real sums are
+	// strictly positive, β > 0 and area ≥ 1): seeding costs an O(N)
+	// exact evaluation that only pays off if the newcomer outlives the
+	// next admission, so the first later recheck seeds it on demand
+	// instead. Short-lived admit/release churn then never pays for it.
+	checks := make([]BoundCheck, n+1)
+	newWit := make([]rat.R, n+1)
+	newWs1 := make([]rat.R, n+1)
+	newWs2 := make([]rat.R, n+1)
+	checks[n] = chk
+	newWit[n] = rat.FromBig(chk.Lambda)
 
 	// The newcomer's candidate values at their indices in the trial list,
 	// ascending (Di > Ti makes Ci/Di < Ci/Ti). Evaluating one that is not
@@ -179,22 +199,6 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 	if t.D > t.T {
 		fresh = []int{sw.candD[n], sw.candU[n]}
 	}
-
-	checks := make([]BoundCheck, n+1)
-	newWit := make([]rat.R, n+1)
-	newWs1 := make([]rat.R, n+1)
-	newWs2 := make([]rat.R, n+1)
-
-	reject := func(k int) (Verdict, bool) {
-		return Verdict{
-			Test:        name,
-			Schedulable: false,
-			FailingTask: k,
-			Reason: fmt.Sprintf("no λ ≥ C/T satisfies condition 1 or 2 for task %d (%s)",
-				k, trial.Tasks[k].Name),
-		}, true
-	}
-
 	for k := 0; k < n; k++ {
 		if err := ctx.Err(); err != nil {
 			return aborted(name, err), true
@@ -205,10 +209,8 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 		}
 		switch res.status {
 		case gn2Rejected:
-			// Earlier tasks all accepted, so k is the from-scratch
-			// FailingTask; rejecting verdicts surface only the decision
-			// and reason through admission, so the remaining checks are
-			// not materialized.
+			// A rejecting verdict certifies only the decision (see
+			// AdmitState), so the remaining checks are not materialized.
 			return reject(k)
 		case gn2Fallback:
 			return Verdict{}, false
@@ -219,28 +221,30 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 		newWs2[k] = res.s2
 	}
 
-	// The newcomer has no witness: full sweep for its task alone. Its
-	// cached sums stay unseeded (zero — real sums are strictly positive,
-	// β > 0 and area ≥ 1): seeding costs an O(N) exact evaluation that
-	// only pays off if the newcomer outlives the next admission, so the
-	// first later recheck seeds it on demand instead. Short-lived
-	// admit/release churn then never pays for it.
-	chk, err := sw.check(ctx, n, sc)
-	if err != nil {
-		return aborted(name, err), true
-	}
-	if !chk.Satisfied {
-		return reject(n)
-	}
-	checks[n] = chk
-	newWit[n] = rat.FromBig(chk.Lambda)
-
 	v := Verdict{Test: name, Schedulable: true, FailingTask: -1, Checks: checks}
 	for k := range checks {
 		checks[k].TaskIndex = k
 	}
 	st.pend = &gn2Pend{name: t.Name, wit: newWit, ws1: newWs1, ws2: newWs2}
 	return v, true
+}
+
+// warmFor reports whether the delta argument applies to trial: the
+// state is warm, trial is the resident mirror plus t, and t leaves the
+// condition RHS invariants unchanged — a newcomer that widens Amax or
+// narrows Amin shifts every bound and invalidates all witnesses at
+// once.
+func (st *gn2AdmitState) warmFor(trial *task.Set, t task.Task) bool {
+	n := len(st.tasks)
+	if !st.warm || len(trial.Tasks) != n+1 || trial.Tasks[n] != t || t.A > st.wAmax || t.A < st.wAmin {
+		return false
+	}
+	for i := range st.tasks {
+		if st.tasks[i] != trial.Tasks[i] {
+			return false
+		}
+	}
+	return true
 }
 
 type gn2RecheckStatus int
@@ -437,8 +441,6 @@ func (st *gn2AdmitState) rewarm(trial *task.Set, wit []rat.R) {
 	st.ws1, st.ws2 = nil, nil
 	st.wAmax = trial.AMax()
 	st.wAmin = trial.AMin()
-	st.abnd = rat.FromInt(int64(st.dev.Columns - st.wAmax + 1))
-	st.amin = rat.FromInt(int64(st.wAmin))
 	st.undo = st.undo[:0]
 	st.warm = true
 }

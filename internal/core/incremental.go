@@ -15,11 +15,17 @@ import (
 //
 //   - TryAdd asks for a verdict on trial = resident ∪ {t} (t is
 //     trial's last task). It returns (verdict, true) when the state can
-//     produce a verdict it certifies equal to a from-scratch
-//     test.Analyze(ctx, dev, trial) — equal decision, and on acceptance
-//     a byte-identical certificate, re-derived exactly over the full
-//     trial set rather than assembled from cached fragments. It
-//     returns (Verdict{}, false) when the delta logic cannot certify,
+//     produce a verdict it certifies against a from-scratch
+//     test.Analyze(ctx, dev, trial). An accepting verdict certifies
+//     equality in full: the decision, and a byte-identical certificate
+//     re-derived exactly over the full trial set rather than assembled
+//     from cached fragments. A rejecting verdict certifies only
+//     Schedulable=false: every state checks the newcomer's own bound
+//     first, so its FailingTask may name the newcomer even when a
+//     resident fails too (from scratch, the first failing task in set
+//     order), and its Reason need not match Analyze's. The controller
+//     surfaces neither — a rejected Decision carries a fixed Reason.
+//     TryAdd returns (Verdict{}, false) when the state cannot certify,
 //     and the caller must fall back to the full analysis. TryAdd never
 //     mutates committed state: a rejected or abandoned trial leaves
 //     the state exactly as it was.
@@ -34,6 +40,10 @@ import (
 //     (rollback). Commit calls must mirror every controller mutation,
 //     in order, or the state invalidates itself on the next mismatch
 //     check.
+//
+// Each of DP, GN1 and GN2 accepts a set only when every task's bound
+// holds, so a newcomer that fails its own bound is a sound rejection
+// at the cost of one task's check.
 //
 // Implementations are not safe for concurrent use; the admission
 // controller serializes all calls under its own lock.
@@ -61,9 +71,11 @@ type IncrementalTest interface {
 // utilization US(Γ) = Σ Ci·Ai/Ti, maintained by O(1) add/subtract of
 // the affected task's term (rat.R stays reduced, so the accumulated
 // value — and hence every certificate rational derived from it — is
-// identical to the from-scratch sum). The per-task bounds are
-// recomputed per request; DP is a closed-form test, so TryAdd always
-// certifies and never falls back.
+// identical to the from-scratch sum). TryAdd compares the trial's
+// US(Γ) against the newcomer's own bound first, rejecting in O(1);
+// only a newcomer that passes gets the per-task checks, recomputed per
+// request. DP is a closed-form test, so TryAdd always certifies and
+// never falls back.
 type dpAdmitState struct {
 	dp           DPTest
 	dev          Device
@@ -101,22 +113,18 @@ func (st *dpAdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Task
 		}, true
 	}
 	us := st.us.Add(dpTerm(t))
-	slackArea := st.dev.Columns - trial.AMax()
-	if !st.dp.RealValuedAlpha {
-		slackArea++
+	abnd := st.dp.areaBound(st.dev, trial)
+	n := len(trial.Tasks) - 1
+	if rhs := dpBound(t, abnd); us.Cmp(rhs) > 0 {
+		return Verdict{Test: name, Schedulable: false, FailingTask: n, Reason: dpReason(us, rhs, n)}, true
 	}
-	abnd := rat.FromInt(int64(slackArea))
-	v := Verdict{Test: name, Schedulable: true, FailingTask: -1}
+	v := Verdict{Test: name, Schedulable: true, FailingTask: -1, Checks: make([]BoundCheck, 0, n+1)}
 	for k, tk := range trial.Tasks {
-		ut := rat.FromFrac(int64(tk.C), int64(tk.T))
-		rhs := rat.One.Sub(ut).Mul(abnd).Add(ut.Mul(rat.FromInt(int64(tk.A))))
-		ok := us.Cmp(rhs) <= 0
-		v.Checks = append(v.Checks, BoundCheck{TaskIndex: k, LHS: us.Rat(), RHS: rhs.Rat(), Satisfied: ok})
-		if !ok && v.Schedulable {
-			v.Schedulable = false
-			v.FailingTask = k
-			v.Reason = fmt.Sprintf("US(Γ)=%s exceeds bound %s at task %d", us.RatString(), rhs.RatString(), k)
+		rhs := dpBound(tk, abnd)
+		if us.Cmp(rhs) > 0 {
+			return Verdict{Test: name, Schedulable: false, FailingTask: k, Reason: dpReason(us, rhs, k)}, true
 		}
+		v.Checks = append(v.Checks, BoundCheck{TaskIndex: k, LHS: us.Rat(), RHS: rhs.Rat(), Satisfied: true})
 	}
 	return v, true
 }
@@ -146,226 +154,53 @@ func (st *dpAdmitState) CommitReinsert(t task.Task, idx int) { st.apply(t) }
 
 // --- GN1 --------------------------------------------------------------
 
-// gn1AdmitState keeps, per resident task k, the exact interference sum
-// Σ_{i≠k} Ai·min(βi, slack_k). A newcomer changes each resident's sum
-// by exactly its own term (βi and slack_k are pairwise quantities,
-// untouched by other tasks), so a rejection — some task's augmented sum
-// meeting its unchanged bound — is certified in O(N) instead of O(N²).
-// A predicted acceptance falls back to the full analysis: the spec
-// requires accepting certificates to be re-derived exactly over the
-// whole set, which costs the same O(N²) as Analyze, so the state adds
-// nothing there.
-//
-// Structural updates (commit/replay/remove/reinsert) are queued and
-// drained at the next TryAdd, keeping release and WAL replay O(1) per
-// event at the controller.
+// gn1AdmitState is GN1's newcomer-first stage, and it keeps no state:
+// TryAdd decides only the newcomer's own inequality — screened and
+// without evidence, one O(N) interference sum — and rejects when it
+// fails. A newcomer that passes falls back to the full analysis, which
+// re-derives every task's sum and the accepting certificate exactly.
+// Maintaining per-resident sums across requests would save work only
+// on residents, whose checks a rejection no longer needs.
 type gn1AdmitState struct {
-	g          GN1Test
-	dev        Device
-	tasks      []task.Task
-	lhs        []rat.R // per-task interference sum over the mirror
-	nNonConstr int     // resident tasks with D > T
-	ops        []gn1Op
-	// cold marks a dropped mirror: when the op queue outgrows its cap
-	// (many mutations with no intervening GN1 request), replaying it
-	// would cost more than rebuilding, so the state is dropped and
-	// rebuilt from the next trial — one O(N²) rebuild amortized against
-	// the O(N²) analysis it replaces.
-	cold bool
-}
-
-type gn1Op struct {
-	kind int // 0 add, 1 remove, 2 reinsert
-	t    task.Task
-	idx  int
+	g   GN1Test
+	dev Device
 }
 
 // NewAdmitState implements IncrementalTest.
 func (g GN1Test) NewAdmitState(dev Device) AdmitState {
-	return &gn1AdmitState{g: g, dev: dev}
+	return gn1AdmitState{g: g, dev: dev}
 }
 
-func gn1Slack(tk task.Task) rat.R {
-	return rat.One.Sub(rat.FromFrac(int64(tk.C), int64(tk.D)))
-}
-
-// gn1TermR is ti's contribution to τk's interference sum.
-func gn1TermR(ti, tk task.Task, slack rat.R, variant GN1Variant) rat.R {
-	return rat.FromInt(int64(ti.A)).Mul(rat.Min(gn1BetaR(ti, tk, variant), slack))
-}
-
-func (st *gn1AdmitState) drain() {
-	for _, op := range st.ops {
-		switch op.kind {
-		case 0:
-			st.applyAdd(op.t)
-		case 1:
-			st.applyRemove(op.t, op.idx)
-		case 2:
-			st.applyAdd(op.t)
-			n := len(st.tasks) - 1
-			if op.idx >= 0 && op.idx < n {
-				st.tasks[op.idx], st.tasks[n] = st.tasks[n], st.tasks[op.idx]
-				st.lhs[op.idx], st.lhs[n] = st.lhs[n], st.lhs[op.idx]
-			}
-		}
-	}
-	st.ops = st.ops[:0]
-}
-
-func (st *gn1AdmitState) applyAdd(t task.Task) {
-	var row rat.R
-	slackT := gn1Slack(t)
-	for k, tk := range st.tasks {
-		st.lhs[k] = st.lhs[k].Add(gn1TermR(t, tk, gn1Slack(tk), st.g.Variant))
-		row = row.Add(gn1TermR(tk, t, slackT, st.g.Variant))
-	}
-	st.tasks = append(st.tasks, t)
-	st.lhs = append(st.lhs, row)
-	if t.D > t.T {
-		st.nNonConstr++
-	}
-}
-
-func (st *gn1AdmitState) applyRemove(t task.Task, idx int) {
-	n := len(st.tasks) - 1
-	for k, tk := range st.tasks {
-		if k == idx {
-			continue
-		}
-		st.lhs[k] = st.lhs[k].Sub(gn1TermR(t, tk, gn1Slack(tk), st.g.Variant))
-	}
-	if idx != n {
-		st.tasks[idx] = st.tasks[n]
-		st.lhs[idx] = st.lhs[n]
-	}
-	st.tasks = st.tasks[:n]
-	st.lhs = st.lhs[:n]
-	if t.D > t.T {
-		st.nNonConstr--
-	}
-}
-
-// rebuild reconstructs the mirror from the trial's resident prefix.
-func (st *gn1AdmitState) rebuild(resident []task.Task) {
-	st.tasks = append(st.tasks[:0], resident...)
-	st.lhs = st.lhs[:0]
-	st.nNonConstr = 0
-	for k, tk := range st.tasks {
-		var sum rat.R
-		slack := gn1Slack(tk)
-		for i, ti := range st.tasks {
-			if i == k {
-				continue
-			}
-			sum = sum.Add(gn1TermR(ti, tk, slack, st.g.Variant))
-		}
-		st.lhs = append(st.lhs, sum)
-		if tk.D > tk.T {
-			st.nNonConstr++
-		}
-	}
-	st.ops = st.ops[:0]
-	st.cold = false
-}
-
-func (st *gn1AdmitState) enqueue(op gn1Op) {
-	if st.cold {
-		return
-	}
-	st.ops = append(st.ops, op)
-	if len(st.ops) > 256+4*len(st.tasks) {
-		st.cold = true
-		st.tasks, st.lhs, st.ops = nil, nil, nil
-	}
-}
-
-func (st *gn1AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Task) (Verdict, bool) {
-	if st.cold {
-		st.rebuild(trial.Tasks[:len(trial.Tasks)-1])
-	}
-	st.drain()
+func (st gn1AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Task) (Verdict, bool) {
 	name := st.g.Name()
 	if err := ctx.Err(); err != nil {
 		return aborted(name, err), true
 	}
-	if v, ok := precheck(name, st.dev, trial); !ok {
+	if v, ok := st.g.applicable(st.dev, trial); !ok {
 		return v, true
 	}
-	nonConstr := st.nNonConstr
-	if t.D > t.T {
-		nonConstr++
+	var sct *screenCounters
+	if ScreenOn(ctx) {
+		sct = new(screenCounters)
 	}
-	if nonConstr > 0 {
-		return Verdict{
-			Test:        name,
-			Schedulable: false,
-			Reason:      "GN1 requires constrained deadlines (D ≤ T)",
-			FailingTask: -1,
-		}, true
+	n := len(trial.Tasks) - 1
+	_, _, ok := st.g.checkTaskR(st.dev, trial, n, new(rat.Acc), sct, false)
+	if sct != nil {
+		screenStatsFrom(ctx).add(*sct)
 	}
-	n := len(st.tasks)
-	if len(trial.Tasks) != n+1 {
-		return Verdict{}, false // mirror out of sync: full path re-derives truth
+	if ok {
+		return Verdict{}, false
 	}
-	for i := range st.tasks {
-		if st.tasks[i] != trial.Tasks[i] {
-			return Verdict{}, false
-		}
-	}
-	// Rejection fast path: the first resident whose augmented sum meets
-	// its bound is exactly the from-scratch FailingTask (earlier tasks'
-	// strict inequalities hold either way), and the Reason renders the
-	// same exact rationals the full run would.
-	for k, tk := range st.tasks {
-		slack := gn1Slack(tk)
-		rhs := rat.FromInt(int64(st.dev.Columns - tk.A + 1)).Mul(slack)
-		lhsK := st.lhs[k].Add(gn1TermR(t, tk, slack, st.g.Variant))
-		if lhsK.Cmp(rhs) >= 0 {
-			return Verdict{
-				Test:        name,
-				Schedulable: false,
-				FailingTask: k,
-				Reason: fmt.Sprintf("interference bound %s not below slack bound %s for task %d (%s)",
-					lhsK.RatString(), rhs.RatString(), k, tk.Name),
-			}, true
-		}
-	}
-	slackT := gn1Slack(t)
-	rhsT := rat.FromInt(int64(st.dev.Columns - t.A + 1)).Mul(slackT)
-	var row rat.R
-	for _, tk := range st.tasks {
-		row = row.Add(gn1TermR(tk, t, slackT, st.g.Variant))
-	}
-	if row.Cmp(rhsT) >= 0 {
-		return Verdict{
-			Test:        name,
-			Schedulable: false,
-			FailingTask: n,
-			Reason: fmt.Sprintf("interference bound %s not below slack bound %s for task %d (%s)",
-				row.RatString(), rhsT.RatString(), n, t.Name),
-		}, true
-	}
-	// Every inequality holds: the set will be accepted, and the
-	// accepting certificate must be re-derived exactly over the full
-	// set — which is what Analyze does. Fall back.
-	return Verdict{}, false
+	return Verdict{
+		Test:        name,
+		Schedulable: false,
+		FailingTask: n,
+		Reason:      fmt.Sprintf("interference bound not below slack bound for task %d (%s)", n, t.Name),
+	}, true
 }
 
-func (st *gn1AdmitState) ObserveFull(*task.Set, *Verdict) {}
-
-func (st *gn1AdmitState) CommitAdd(t task.Task) {
-	st.enqueue(gn1Op{kind: 0, t: t})
-}
-
-func (st *gn1AdmitState) CommitReplay(t task.Task) {
-	st.enqueue(gn1Op{kind: 0, t: t})
-}
-
-func (st *gn1AdmitState) CommitRemove(removed task.Task, idx int) {
-	st.enqueue(gn1Op{kind: 1, t: removed, idx: idx})
-}
-
-func (st *gn1AdmitState) CommitReinsert(t task.Task, idx int) {
-	st.enqueue(gn1Op{kind: 2, t: t, idx: idx})
-}
+func (gn1AdmitState) ObserveFull(*task.Set, *Verdict) {}
+func (gn1AdmitState) CommitAdd(task.Task)             {}
+func (gn1AdmitState) CommitRemove(task.Task, int)     {}
+func (gn1AdmitState) CommitReplay(task.Task)          {}
+func (gn1AdmitState) CommitReinsert(task.Task, int)   {}
