@@ -71,6 +71,7 @@ bench-admit:
 	mkdir -p bench-results
 	$(GO) test -bench 'BenchmarkAdmitRelease' -benchtime 200x -run XXX ./internal/admission/ | tee bench-results/BENCH_admit.txt
 	$(GO) test -bench 'BenchmarkAdmitChurn' -benchtime 2000x -run XXX ./internal/admission/ | tee -a bench-results/BENCH_admit.txt
+	$(GO) test -bench 'BenchmarkAdmitResponseCodec' -benchtime 2000x -run XXX ./api/ | tee -a bench-results/BENCH_admit.txt
 	$(GO) run ./cmd/benchjson -in bench-results/BENCH_admit.txt -out bench-results/BENCH_admit.json
 
 crash-smoke: ## live-daemon kill -9 + WAL replay smoke, archives BENCH_recovery.json

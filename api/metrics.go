@@ -133,7 +133,11 @@ type MetricsResponse struct {
 // IncrementalHits counts analyses served by a test's admit state —
 // including rejections it certifies from the newcomer's own bound,
 // even on a cold state — and FullRuns counts from-scratch analyses (no
-// state, or a state unable to certify the verdict).
+// state, or a state unable to certify the verdict). Requests equals
+// Admitted + Rejected + Aborted; Aborted counts cancelled analyses and
+// admissions rolled back because their WAL append failed (answered
+// 503 store_failed). Releases counts completed releases: a release
+// rolled back after a failed append is not counted.
 type AdmissionMetrics struct {
 	Controllers     int    `json:"controllers"`
 	Requests        uint64 `json:"requests"`

@@ -245,11 +245,40 @@ func finish(resp *http.Response, out any) error {
 	if out == nil || resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	var err error
+	if ar, ok := out.(*api.AdmitResponse); ok {
+		err = decodeAdmit(resp.Body, ar)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decoding response: %w", err)
 	}
 	return nil
 }
+
+// decodeAdmit decodes an admit response body with the one-pass
+// AdmitResponse.ParseJSON, and with json.Decoder — which sees exactly
+// the bytes, and the read error, a streaming decode would have seen —
+// when the body falls outside ParseJSON's plain subset, so results and
+// error text match a plain json.Decoder decode.
+func decodeAdmit(body io.Reader, out *api.AdmitResponse) error {
+	data, err := io.ReadAll(body)
+	if err == nil && out.ParseJSON(data) {
+		return nil
+	}
+	*out = api.AdmitResponse{}
+	var rest io.Reader = bytes.NewReader(data)
+	if err != nil {
+		rest = io.MultiReader(rest, errReader{err})
+	}
+	return json.NewDecoder(rest).Decode(out)
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // readError converts a non-2xx response into *api.Error, synthesising
 // one when the body is not a wire error (a proxy page, say).

@@ -51,12 +51,16 @@ type Decision struct {
 // from-scratch run (FullRuns), the fallback whenever no state exists or
 // the state cannot certify the verdict.
 type Stats struct {
+	// Requests == Admitted + Rejected + Aborted.
 	Requests uint64
 	Admitted uint64
 	Rejected uint64
 	// Aborted counts requests whose analysis was cancelled mid-flight
-	// (Decision.Err set): neither admitted nor definitively rejected.
-	Aborted         uint64
+	// (Decision.Err set) and admissions rolled back by AbortAdmit:
+	// neither admitted nor definitively rejected.
+	Aborted uint64
+	// Releases counts tasks removed by Release or Remove; a Remove
+	// rolled back by Reinsert is not counted.
 	Releases        uint64
 	IncrementalHits uint64
 	FullRuns        uint64

@@ -42,6 +42,31 @@ func (c *Controller) ForceAdmit(t task.Task) error {
 	return nil
 }
 
+// AbortAdmit rolls back the admission of name — the exact inverse of
+// an admitting Request, for an admission whose log append failed. The
+// task leaves the resident set (it is the last resident, so no other
+// task moves), and the request is recounted from Admitted to Aborted:
+// its caller was told it failed, so it was neither admitted nor
+// rejected. Releases does not move. It returns false if name is not
+// resident.
+func (c *Controller) AbortAdmit(name string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	idx, ok := c.byName[name]
+	if !ok {
+		return false
+	}
+	removed := c.removeAtLocked(idx)
+	for _, st := range c.states {
+		if st != nil {
+			st.CommitRemove(removed, idx)
+		}
+	}
+	c.stats.Admitted--
+	c.stats.Aborted++
+	return true
+}
+
 // Remove removes a resident task by name, returning the removed task
 // and the index it occupied so Reinsert can restore it exactly. It is
 // Release with a rollback handle; ok is false if absent. Like Release
@@ -68,7 +93,7 @@ func (c *Controller) Remove(name string) (t task.Task, idx int, ok bool) {
 // failed: the task currently occupying idx (the one Remove moved there
 // from the end) returns to the end, and t takes idx back. The set it
 // restores was resident (and therefore proven) moments ago, so no
-// re-analysis is run.
+// re-analysis is run. It takes back the release Remove counted.
 func (c *Controller) Reinsert(t task.Task, idx int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -93,5 +118,6 @@ func (c *Controller) Reinsert(t task.Task, idx int) error {
 			st.CommitReinsert(t, idx)
 		}
 	}
+	c.stats.Releases--
 	return nil
 }

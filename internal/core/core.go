@@ -49,6 +49,13 @@ type BoundCheck struct {
 	// LHS and RHS are the two sides of the test's inequality for task k.
 	// For GN2 they correspond to the winning (or last-tried) λ and
 	// condition.
+	//
+	// LHS, RHS and Lambda are read-only: a value may be shared between
+	// the checks of one verdict (DP's US(Γ) is one pointer in every
+	// check) and with cached verdicts (the engine's remapped copies
+	// share the cached pointers), so mutating one would corrupt every
+	// certificate that shares it. Certificate renders a pointer shared
+	// by consecutive checks once.
 	LHS, RHS *big.Rat
 	// Satisfied reports whether the inequality held for task k.
 	Satisfied bool
@@ -164,7 +171,8 @@ func (c Certificate) String() string {
 
 // Certificate converts the verdict into its exportable proof form,
 // rendering every rational as an exact fraction string and recursing
-// into composite sub-verdicts.
+// into composite sub-verdicts. A rational shared by consecutive checks
+// (DP's US(Γ) is one pointer in every check) is rendered once.
 func (v Verdict) Certificate() Certificate {
 	out := Certificate{
 		Test:        v.Test,
@@ -176,23 +184,44 @@ func (v Verdict) Certificate() Certificate {
 		ft := v.FailingTask
 		out.FailingTask = &ft
 	}
-	for _, c := range v.Checks {
-		cc := Check{TaskIndex: c.TaskIndex, Satisfied: c.Satisfied, Condition: c.Condition}
-		if c.LHS != nil {
-			cc.LHS = c.LHS.RatString()
+	if len(v.Checks) > 0 {
+		out.Checks = make([]Check, len(v.Checks))
+	}
+	var lhs, rhs, lambda ratRenderer
+	for i, c := range v.Checks {
+		out.Checks[i] = Check{
+			TaskIndex: c.TaskIndex,
+			LHS:       lhs.render(c.LHS),
+			RHS:       rhs.render(c.RHS),
+			Satisfied: c.Satisfied,
+			Lambda:    lambda.render(c.Lambda),
+			Condition: c.Condition,
 		}
-		if c.RHS != nil {
-			cc.RHS = c.RHS.RatString()
-		}
-		if c.Lambda != nil {
-			cc.Lambda = c.Lambda.RatString()
-		}
-		out.Checks = append(out.Checks, cc)
 	}
 	for _, sv := range v.SubVerdicts {
 		out.SubVerdicts = append(out.SubVerdicts, sv.Certificate())
 	}
 	return out
+}
+
+// ratRenderer renders rationals with RatString, remembering the last
+// pointer it rendered so a run of checks sharing one value renders it
+// once. BoundCheck's values are read-only, so a pointer seen before
+// still holds the value that was rendered.
+type ratRenderer struct {
+	last *big.Rat
+	s    string
+}
+
+// render returns x.RatString(), or "" for nil.
+func (r *ratRenderer) render(x *big.Rat) string {
+	if x == nil {
+		return ""
+	}
+	if x != r.last {
+		r.last, r.s = x, x.RatString()
+	}
+	return r.s
 }
 
 // Test is a schedulability test for hardware tasksets on a device.

@@ -72,15 +72,24 @@ type IncrementalTest interface {
 // the affected task's term (rat.R stays reduced, so the accumulated
 // value — and hence every certificate rational derived from it — is
 // identical to the from-scratch sum). TryAdd compares the trial's
-// US(Γ) against the newcomer's own bound first, rejecting in O(1);
-// only a newcomer that passes gets the per-task checks, recomputed per
-// request. DP is a closed-form test, so TryAdd always certifies and
-// never falls back.
+// US(Γ) against the newcomer's own bound first, rejecting in O(1); for
+// a newcomer that passes, one exact comparison of US(Γ) against the
+// smallest right-hand side (dpBounds) decides the rest of the set
+// unless some bound fails. An accepted trial's US(Γ) is kept and
+// becomes the committed value on the CommitAdd that follows, so an
+// admission pays for one big-rational addition, not two. DP is a
+// closed-form test, so TryAdd always certifies and never falls back.
 type dpAdmitState struct {
 	dp           DPTest
 	dev          Device
 	us           rat.R
 	nNonImplicit int // resident tasks with D != T
+
+	// trial is the last accepted TryAdd's US(Γ) and newcomer, valid
+	// until the next call of any method.
+	trial    rat.R
+	trialTk  task.Task
+	hasTrial bool
 }
 
 // NewAdmitState implements IncrementalTest.
@@ -88,11 +97,8 @@ func (dp DPTest) NewAdmitState(dev Device) AdmitState {
 	return &dpAdmitState{dp: dp, dev: dev}
 }
 
-func dpTerm(t task.Task) rat.R {
-	return rat.FromFrac(int64(t.C), int64(t.T)).Mul(rat.FromInt(int64(t.A)))
-}
-
 func (st *dpAdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Task) (Verdict, bool) {
+	st.hasTrial = false
 	name := st.dp.Name()
 	if err := ctx.Err(); err != nil {
 		return aborted(name, err), true
@@ -118,21 +124,28 @@ func (st *dpAdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Task
 	if rhs := dpBound(t, abnd); us.Cmp(rhs) > 0 {
 		return Verdict{Test: name, Schedulable: false, FailingTask: n, Reason: dpReason(us, rhs, n)}, true
 	}
-	v := Verdict{Test: name, Schedulable: true, FailingTask: -1, Checks: make([]BoundCheck, 0, n+1)}
-	for k, tk := range trial.Tasks {
-		rhs := dpBound(tk, abnd)
-		if us.Cmp(rhs) > 0 {
-			return Verdict{Test: name, Schedulable: false, FailingTask: k, Reason: dpReason(us, rhs, k)}, true
-		}
-		v.Checks = append(v.Checks, BoundCheck{TaskIndex: k, LHS: us.Rat(), RHS: rhs.Rat(), Satisfied: true})
+	b := dpBounds(us, trial.Tasks, abnd)
+	if k := b.firstFailing(); k >= 0 {
+		return Verdict{Test: name, Schedulable: false, FailingTask: k, Reason: dpReason(us, b.rhs[k], k)}, true
+	}
+	st.trial, st.trialTk, st.hasTrial = us, t, true
+	lhs := us.Rat()
+	v := Verdict{Test: name, Schedulable: true, FailingTask: -1, Checks: make([]BoundCheck, len(b.rhs))}
+	for k, rhs := range b.rhs {
+		v.Checks[k] = BoundCheck{TaskIndex: k, LHS: lhs, RHS: rhs.Rat(), Satisfied: true}
 	}
 	return v, true
 }
 
-func (st *dpAdmitState) ObserveFull(*task.Set, *Verdict) {}
+func (st *dpAdmitState) ObserveFull(*task.Set, *Verdict) { st.hasTrial = false }
 
 func (st *dpAdmitState) apply(t task.Task) {
-	st.us = st.us.Add(dpTerm(t))
+	if st.hasTrial && st.trialTk == t {
+		st.us = st.trial
+	} else {
+		st.us = st.us.Add(dpTerm(t))
+	}
+	st.hasTrial = false
 	if t.D != t.T {
 		st.nNonImplicit++
 	}
@@ -142,6 +155,7 @@ func (st *dpAdmitState) CommitAdd(t task.Task)    { st.apply(t) }
 func (st *dpAdmitState) CommitReplay(t task.Task) { st.apply(t) }
 
 func (st *dpAdmitState) CommitRemove(removed task.Task, idx int) {
+	st.hasTrial = false
 	st.us = st.us.Sub(dpTerm(removed))
 	if removed.D != removed.T {
 		st.nNonImplicit--

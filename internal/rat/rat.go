@@ -122,13 +122,24 @@ func (x R) Sign() int {
 }
 
 // Cmp compares x and y, returning -1, 0 or +1. The fast path uses a
-// 128-bit cross multiplication and never allocates.
+// 128-bit cross multiplication and never allocates; a big operand is
+// compared in place, not copied.
 func (x R) Cmp(y R) int {
 	if x.b == nil && y.b == nil {
 		x, y = x.norm(), y.norm()
 		return cmpCross(x.n, y.d, y.n, x.d)
 	}
-	return x.Rat().Cmp(y.Rat())
+	return x.view().Cmp(y.view())
+}
+
+// view returns the value as a big.Rat that the caller must not
+// mutate: the fallback value itself, or a fresh copy of a fast-path
+// value.
+func (x R) view() *big.Rat {
+	if x.b != nil {
+		return x.b
+	}
+	return x.Rat()
 }
 
 // Min returns the smaller of a and b (a on ties, matching the
@@ -150,26 +161,60 @@ func Max(a, b R) R {
 
 // Add returns x + y.
 func (x R) Add(y R) R {
-	if x.b == nil && y.b == nil {
+	switch {
+	case x.b == nil && y.b == nil:
 		x, y = x.norm(), y.norm()
 		if r, ok := addFast(x.n, x.d, y.n, y.d); ok {
 			return r
 		}
+	case y.b == nil:
+		y = y.norm()
+		return addBigFast(x.b, y.n, y.d)
+	case x.b == nil:
+		x = x.norm()
+		return addBigFast(y.b, x.n, x.d)
 	}
-	return demote(new(big.Rat).Add(x.Rat(), y.Rat()))
+	return demote(new(big.Rat).Add(x.view(), y.view()))
 }
 
 // Sub returns x − y.
 func (x R) Sub(y R) R {
-	if x.b == nil && y.b == nil {
-		x, y = x.norm(), y.norm()
-		if y.n != minI64 {
-			if r, ok := addFast(x.n, x.d, -y.n, y.d); ok {
-				return r
-			}
-		}
+	if y.b == nil && y.norm().n != minI64 {
+		return x.Add(R{n: -y.norm().n, d: y.norm().d})
 	}
-	return demote(new(big.Rat).Sub(x.Rat(), y.Rat()))
+	return demote(new(big.Rat).Sub(x.view(), y.view()))
+}
+
+// addBigFast returns x + n/d for a big.Rat x and a reduced fast-path
+// n/d, without big.Rat's multi-word gcd. By Knuth's reduction (TAOCP
+// §4.5.1), with g1 = gcd(den(x), d) the numerator
+// t = num(x)·(d/g1) + n·(den(x)/g1) shares with the denominator only
+// factors of g1, so dividing by g2 = gcd(t, g1) leaves
+// t/g2 over (den(x)/g1)·(d/g2) in lowest terms: two word-sized gcds
+// and a few multi-word-by-word products. This keeps a maintained big
+// sum (DP's US(Γ)) cheap to move by one task's term.
+func addBigFast(x *big.Rat, n, d int64) R {
+	var w, t, rem big.Int
+	w.SetInt64(d)
+	g1 := int64(gcd64(rem.Rem(x.Denom(), &w).Uint64(), uint64(d)))
+	den := new(big.Int).Quo(x.Denom(), w.SetInt64(g1))
+	t.Mul(x.Num(), w.SetInt64(d/g1))
+	t.Add(&t, rem.Mul(den, w.SetInt64(n)))
+	if t.Sign() == 0 {
+		return Zero
+	}
+	g2 := int64(gcd64(rem.Abs(rem.Rem(&t, w.SetInt64(g1))).Uint64(), uint64(g1)))
+	if g2 > 1 {
+		t.Quo(&t, w.SetInt64(g2))
+	}
+	den.Mul(den, w.SetInt64(d/g2))
+	// t/den is in lowest terms with den > 0; set it without SetFrac's
+	// renormalisation. Num and Denom are references into an
+	// initialised Rat, so setting them sets the value.
+	z := new(big.Rat).SetInt64(1)
+	z.Num().Set(&t)
+	z.Denom().Set(den)
+	return demote(z)
 }
 
 // Mul returns x·y.
@@ -219,7 +264,17 @@ func (x R) Rat() *big.Rat {
 		return new(big.Rat).Set(x.b)
 	}
 	x = x.norm()
-	return new(big.Rat).SetFrac64(x.n, x.d)
+	return setReduced(new(big.Rat).SetInt64(x.n), x.d)
+}
+
+// setReduced sets z's denominator to d, where z's numerator over d is
+// already in lowest terms and d > 0, without SetFrac's
+// renormalisation: z is initialised, so Denom is a reference into it.
+func setReduced(z *big.Rat, d int64) *big.Rat {
+	if d != 1 {
+		z.Denom().SetInt64(d)
+	}
+	return z
 }
 
 // RatString renders the value exactly as big.Rat.RatString does:

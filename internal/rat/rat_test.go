@@ -242,6 +242,20 @@ func FuzzRatOps(f *testing.F) {
 		if a.Cmp(b) != ab.Cmp(bb) {
 			t.Fatalf("Cmp mismatch for %s, %s", a, b)
 		}
+		// A big operand against a fast-path one: a³ scaled past int64,
+		// its denominator sharing factors with b's.
+		hb := new(big.Rat).Mul(ab, ab)
+		hb.Mul(hb, ab)
+		hb.Mul(hb, new(big.Rat).SetFrac(new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(1)), new(big.Int).Exp(big.NewInt(6), big.NewInt(30), nil)))
+		h := FromBig(hb)
+		checkEqual(t, h.Add(b), new(big.Rat).Add(hb, bb), "Add big")
+		checkEqual(t, b.Add(h), new(big.Rat).Add(bb, hb), "Add big")
+		checkEqual(t, h.Sub(b), new(big.Rat).Sub(hb, bb), "Sub big")
+		checkEqual(t, b.Sub(h), new(big.Rat).Sub(bb, hb), "Sub big")
+		checkEqual(t, h.Sub(h), new(big.Rat), "Sub big")
+		if h.Cmp(b) != hb.Cmp(bb) || b.Cmp(h) != bb.Cmp(hb) {
+			t.Fatalf("Cmp mismatch for %s, %s", h, b)
+		}
 		var acc Acc
 		acc.Add(a)
 		acc.Add(b)

@@ -355,6 +355,68 @@ func TestStoreFailureLatchesReadOnly(t *testing.T) {
 	}
 }
 
+// admissionMetrics fetches the /metrics admission section.
+func admissionMetrics(t testing.TB, url string) api.AdmissionMetrics {
+	t.Helper()
+	var m api.MetricsResponse
+	doJSON(t, "GET", url+"/metrics", "", &m)
+	if m.Admission == nil {
+		t.Fatal("/metrics has no admission section")
+	}
+	return *m.Admission
+}
+
+// TestStoreFailureRollbackCounters: a mutation rolled back because its
+// WAL append failed leaves the admission counters as if it had never
+// been admitted or released. A rolled-back admit answered 503, so it
+// counts as aborted — neither admitted nor rejected — and neither
+// rollback counts a release; Requests stays Admitted+Rejected+Aborted.
+func TestStoreFailureRollbackCounters(t *testing.T) {
+	const admit = `{"name":"a","c":"2","d":"5","t":"5","a":5}`
+	check := func(label string, got, want api.AdmissionMetrics) {
+		t.Helper()
+		got.IncrementalHits, got.FullRuns = 0, 0
+		if got != want {
+			t.Errorf("%s: admission metrics = %+v, want %+v", label, got, want)
+		}
+		if got.Requests != got.Admitted+got.Rejected+got.Aborted {
+			t.Errorf("%s: requests %d != admitted %d + rejected %d + aborted %d",
+				label, got.Requests, got.Admitted, got.Rejected, got.Aborted)
+		}
+	}
+
+	// The create is logged, the admit's append fails.
+	_, ts := newFailingServer(t, 1)
+	if resp := doJSON(t, "PUT", ts.URL+"/v1/controllers/edge0", `{"columns":10}`, nil); resp.StatusCode != 201 {
+		t.Fatalf("create = %d", resp.StatusCode)
+	}
+	var e api.Error
+	if resp := doJSON(t, "POST", ts.URL+"/v1/controllers/edge0/admit", admit, &e); resp.StatusCode != 503 || e.Code != api.CodeStoreFailed {
+		t.Fatalf("admit with dead store = %d %q, want 503 store_failed", resp.StatusCode, e.Code)
+	}
+	check("rolled-back admit", admissionMetrics(t, ts.URL), api.AdmissionMetrics{Controllers: 1, Requests: 1, Aborted: 1})
+
+	// The create and the admit are logged, the release's append fails.
+	_, ts = newFailingServer(t, 2)
+	if resp := doJSON(t, "PUT", ts.URL+"/v1/controllers/edge0", `{"columns":10}`, nil); resp.StatusCode != 201 {
+		t.Fatalf("create = %d", resp.StatusCode)
+	}
+	var ar api.AdmitResponse
+	if resp := doJSON(t, "POST", ts.URL+"/v1/controllers/edge0/admit", admit, &ar); resp.StatusCode != 200 || !ar.Admitted {
+		t.Fatalf("admit = %d %+v, want 200 admitted", resp.StatusCode, ar)
+	}
+	e = api.Error{}
+	if resp := doJSON(t, "DELETE", ts.URL+"/v1/controllers/edge0/tasks/a", "", &e); resp.StatusCode != 503 || e.Code != api.CodeStoreFailed {
+		t.Fatalf("release with dead store = %d %q, want 503 store_failed", resp.StatusCode, e.Code)
+	}
+	var res api.ResidentResponse
+	doJSON(t, "GET", ts.URL+"/v1/controllers/edge0/resident", "", &res)
+	if res.Count != 1 {
+		t.Errorf("resident after rolled-back release = %d tasks, want 1", res.Count)
+	}
+	check("rolled-back release", admissionMetrics(t, ts.URL), api.AdmissionMetrics{Controllers: 1, Requests: 1, Admitted: 1})
+}
+
 func TestReadinessGatesControllers(t *testing.T) {
 	srv := New(Config{EngineConfig: engine.Config{Workers: 2, CacheSize: 128}, StartNotReady: true})
 	ts := httptest.NewServer(srv)

@@ -1086,14 +1086,19 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Only admissions mutate state; a rejection has nothing to persist.
+	// A failed append rolls the admission back: the client gets a 503,
+	// so the request counts as aborted, not admitted.
 	if d.Admitted {
 		if err := s.record(recAdmit(name, tk)); err != nil {
-			t.ctrl.Release(tk.Name)
+			t.ctrl.AbortAdmit(tk.Name)
 			writeError(w, storeFailed(err))
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, api.AdmitResponse{Admitted: d.Admitted, ProvedBy: d.ProvedBy, Reason: d.Reason, Certificate: d.Certificate})
+	resp := api.AdmitResponse{Admitted: d.Admitted, ProvedBy: d.ProvedBy, Reason: d.Reason, Certificate: d.Certificate}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(resp.AppendJSON(nil))
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {

@@ -83,7 +83,7 @@ func (s *Set) wire() jsonSet {
 // compact encoding of the wire form (an enclosing encoder re-formats it
 // anyway; WriteJSON indents).
 func (s *Set) MarshalJSON() ([]byte, error) {
-	return appendWireSet(make([]byte, 0, 64*len(s.Tasks)+16), s.Tasks)
+	return appendWireSet(make([]byte, 0, 64*len(s.Tasks)+16), s.Tasks), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Set. The canonical

@@ -1,15 +1,17 @@
 package task
 
 import (
-	"encoding/json"
+	"bytes"
 	"strconv"
 	"strings"
+
+	"fpgasched/internal/jsonwire"
 )
 
 // appendWireSet appends the compact JSON encoding of tasks — the bytes
 // json.Marshal produces for the set's jsonSet form — to b, without
 // reflection or an intermediate copy of the set.
-func appendWireSet(b []byte, tasks []Task) ([]byte, error) {
+func appendWireSet(b []byte, tasks []Task) []byte {
 	b = append(b, `{"tasks":[`...)
 	for i, t := range tasks {
 		if i > 0 {
@@ -18,10 +20,7 @@ func appendWireSet(b []byte, tasks []Task) ([]byte, error) {
 		b = append(b, '{')
 		if t.Name != "" {
 			b = append(b, `"name":`...)
-			var err error
-			if b, err = appendJSONString(b, t.Name); err != nil {
-				return nil, err
-			}
+			b = jsonwire.AppendString(b, t.Name)
 			b = append(b, ',')
 		}
 		b = append(b, `"c":"`...)
@@ -34,23 +33,7 @@ func appendWireSet(b []byte, tasks []Task) ([]byte, error) {
 		b = strconv.AppendInt(b, int64(t.A), 10)
 		b = append(b, '}')
 	}
-	return append(b, "]}"...), nil
-}
-
-// appendJSONString appends s as a JSON string exactly as json.Marshal
-// renders it. Printable ASCII other than the characters encoding/json
-// escapes (quote, backslash and the HTML-sensitive <, >, &) is copied
-// as is; any other string is delegated to json.Marshal.
-func appendJSONString(b []byte, s string) ([]byte, error) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, err := json.Marshal(s)
-			return append(b, q...), err
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"'), nil
+	return append(b, "]}"...)
 }
 
 // parseWireSet decodes the canonical wire shape of a set,
@@ -69,150 +52,42 @@ func appendJSONString(b []byte, s string) ([]byte, error) {
 // (duplicate keys included: the last one wins in both), which
 // FuzzSetUnmarshalJSON checks.
 func parseWireSet(data []byte) (tasks []jsonTask, ok bool) {
-	p := wireParser{b: string(data)}
-	if !p.consume('{') {
-		return nil, false
-	}
-	if key, ok := p.str(); !ok || key != "tasks" || !p.consume(':') || !p.consume('[') {
-		return nil, false
-	}
-	// Every task is one object, so the braces bound the task count.
-	tasks = make([]jsonTask, 0, strings.Count(p.b, "{")-1)
-	if !p.consume(']') {
-		for {
-			jt, ok := p.task()
-			if !ok {
-				return nil, false
-			}
+	p := jsonwire.NewParser(data)
+	ok = p.Object(func(key string) bool {
+		if key != "tasks" || tasks != nil {
+			return false
+		}
+		// Every task is one object, so the braces bound the task count.
+		tasks = make([]jsonTask, 0, bytes.Count(data, []byte("{"))-1)
+		return p.Array(func() bool {
+			jt, ok := parseTask(&p)
 			tasks = append(tasks, jt)
-			if p.consume(']') {
-				break
-			}
-			if !p.consume(',') {
-				return nil, false
-			}
-		}
-	}
-	if !p.consume('}') {
-		return nil, false
-	}
-	p.ws()
-	return tasks, p.i == len(p.b)
+			return ok
+		})
+	})
+	return tasks, ok && tasks != nil && p.End()
 }
 
-// wireParser is parseWireSet's cursor over the input. The input is
-// converted to a string once, so the fields it reads are substrings of
-// it rather than one allocation each.
-type wireParser struct {
-	b string
-	i int
-}
-
-// ws skips JSON whitespace.
-func (p *wireParser) ws() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
-	}
-}
-
-// consume skips whitespace and then the byte c, reporting whether it
-// was there.
-func (p *wireParser) consume(c byte) bool {
-	p.ws()
-	if p.i < len(p.b) && p.b[p.i] == c {
-		p.i++
-		return true
-	}
-	return false
-}
-
-// str reads a string of printable ASCII with no escapes.
-func (p *wireParser) str() (string, bool) {
-	if !p.consume('"') {
-		return "", false
-	}
-	for j := p.i; j < len(p.b); j++ {
-		switch c := p.b[j]; {
-		case c == '"':
-			s := p.b[p.i:j]
-			p.i = j + 1
-			return s, true
-		case c < 0x20 || c >= 0x80 || c == '\\':
-			return "", false
-		}
-	}
-	return "", false
-}
-
-// int reads a JSON integer (no fraction or exponent) that fits an int.
-func (p *wireParser) int() (int, bool) {
-	p.ws()
-	start, j := p.i, p.i
-	if j < len(p.b) && p.b[j] == '-' {
-		j++
-	}
-	digits := j
-	for j < len(p.b) && p.b[j] >= '0' && p.b[j] <= '9' {
-		j++
-	}
-	if j == digits || (p.b[digits] == '0' && j-digits > 1) {
-		return 0, false
-	}
-	if j < len(p.b) && (p.b[j] == '.' || p.b[j] == 'e' || p.b[j] == 'E') {
-		return 0, false
-	}
-	v, err := strconv.Atoi(p.b[start:j])
-	if err != nil {
-		return 0, false
-	}
-	p.i = j
-	return v, true
-}
-
-// task reads one task object.
-func (p *wireParser) task() (jsonTask, bool) {
-	var jt jsonTask
-	if !p.consume('{') {
-		return jt, false
-	}
-	if p.consume('}') {
-		return jt, true
-	}
-	for {
-		key, ok := p.str()
-		if !ok || !p.consume(':') {
-			return jt, false
-		}
+// parseTask reads one task object. Duplicate keys are allowed: the
+// last one wins, as in encoding/json.
+func parseTask(p *jsonwire.Parser) (jt jsonTask, ok bool) {
+	ok = p.Object(func(key string) (ok bool) {
 		switch key {
 		case "name":
 			// A name outlives the parse; copy it so it does not pin
 			// the whole input.
-			jt.Name, ok = p.str()
+			jt.Name, ok = p.Str()
 			jt.Name = strings.Clone(jt.Name)
 		case "c":
-			jt.C, ok = p.str()
+			jt.C, ok = p.Str()
 		case "d":
-			jt.D, ok = p.str()
+			jt.D, ok = p.Str()
 		case "t":
-			jt.T, ok = p.str()
+			jt.T, ok = p.Str()
 		case "a":
-			jt.A, ok = p.int()
-		default:
-			ok = false
+			jt.A, ok = p.Int()
 		}
-		if !ok {
-			return jt, false
-		}
-		if p.consume('}') {
-			return jt, true
-		}
-		if !p.consume(',') {
-			return jt, false
-		}
-	}
+		return ok
+	})
+	return jt, ok
 }
