@@ -73,10 +73,10 @@ const (
 	// (GET /healthz) is unaffected.
 	CodeNotReady ErrorCode = "not_ready"
 	// CodeStoreFailed: the durable controller store could not record a
-	// mutation (disk full, I/O error). The mutation was rolled back and
-	// the daemon's controllers are read-only (degraded) until it is
-	// restarted with a healthy state directory; reads and analyses are
-	// unaffected. Distinct from not_found so a client retrying a delete
+	// mutation (disk full, I/O error). The mutation was not applied (it
+	// is logged before it is applied), and the daemon's controllers are
+	// read-only (degraded) until it is restarted with a healthy state
+	// directory; reads and analyses are unaffected. Distinct from not_found so a client retrying a delete
 	// can tell "already gone" from "could not be recorded".
 	CodeStoreFailed ErrorCode = "store_failed"
 	// CodeInternal: an unclassified server-side failure. Retryable.

@@ -135,9 +135,10 @@ type MetricsResponse struct {
 // even on a cold state — and FullRuns counts from-scratch analyses (no
 // state, or a state unable to certify the verdict). Requests equals
 // Admitted + Rejected + Aborted; Aborted counts cancelled analyses and
-// admissions rolled back because their WAL append failed (answered
-// 503 store_failed). Releases counts completed releases: a release
-// rolled back after a failed append is not counted.
+// admissions abandoned because their WAL append failed (answered 503
+// store_failed; mutations are logged before they are applied).
+// Releases counts completed releases: a release whose append failed
+// removed nothing and is not counted.
 type AdmissionMetrics struct {
 	Controllers     int    `json:"controllers"`
 	Requests        uint64 `json:"requests"`

@@ -56,11 +56,12 @@ type Stats struct {
 	Admitted uint64
 	Rejected uint64
 	// Aborted counts requests whose analysis was cancelled mid-flight
-	// (Decision.Err set) and admissions rolled back by AbortAdmit:
-	// neither admitted nor definitively rejected.
+	// (Decision.Err set) and admissions abandoned because their log
+	// step failed (RequestLogged): neither admitted nor definitively
+	// rejected.
 	Aborted uint64
-	// Releases counts tasks removed by Release or Remove; a Remove
-	// rolled back by Reinsert is not counted.
+	// Releases counts tasks removed by Release or ReleaseLogged; a
+	// release whose log step failed removed nothing and is not counted.
 	Releases        uint64
 	IncrementalHits uint64
 	FullRuns        uint64
@@ -146,20 +147,30 @@ func (c *Controller) Len() int {
 // leaves the resident set unchanged and returns a Decision with Err
 // set: not an admission, but not a definitive rejection either.
 func (c *Controller) Request(ctx context.Context, t task.Task) Decision {
+	d, _ := c.RequestLogged(ctx, t, nil)
+	return d
+}
+
+// RequestLogged is Request under the write-ahead rule: once a test
+// admits t, log (if non-nil) runs before anything is committed. If log
+// fails, the admission is abandoned — the resident set and the admit
+// states are left exactly as they were, the request counts as aborted —
+// and log's error is returned with a zero Decision.
+func (c *Controller) RequestLogged(ctx context.Context, t task.Task, log func() error) (Decision, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Requests++
 	if t.Name == "" {
 		c.stats.Rejected++
-		return Decision{Reason: "task must be named"}
+		return Decision{Reason: "task must be named"}, nil
 	}
 	if _, dup := c.byName[t.Name]; dup {
 		c.stats.Rejected++
-		return Decision{Reason: fmt.Sprintf("task %q already resident", t.Name)}
+		return Decision{Reason: fmt.Sprintf("task %q already resident", t.Name)}, nil
 	}
 	if err := t.Validate(); err != nil {
 		c.stats.Rejected++
-		return Decision{Reason: err.Error()}
+		return Decision{Reason: err.Error()}, nil
 	}
 	trial := c.resident.Clone()
 	trial.Tasks = append(trial.Tasks, t)
@@ -167,9 +178,15 @@ func (c *Controller) Request(ctx context.Context, t task.Task) Decision {
 		v := c.analyzeLocked(ctx, i, test, trial, t)
 		if v.Err != nil {
 			c.stats.Aborted++
-			return Decision{Reason: v.Reason, Err: v.Err}
+			return Decision{Reason: v.Reason, Err: v.Err}, nil
 		}
 		if v.Schedulable {
+			if log != nil {
+				if err := log(); err != nil {
+					c.stats.Aborted++
+					return Decision{}, err
+				}
+			}
 			c.resident = trial
 			c.byName[t.Name] = c.resident.Len() - 1
 			for _, st := range c.states {
@@ -179,11 +196,11 @@ func (c *Controller) Request(ctx context.Context, t task.Task) Decision {
 			}
 			c.stats.Admitted++
 			cert := v.Certificate()
-			return Decision{Admitted: true, ProvedBy: test.Name(), Certificate: &cert}
+			return Decision{Admitted: true, ProvedBy: test.Name(), Certificate: &cert}, nil
 		}
 	}
 	c.stats.Rejected++
-	return Decision{Reason: "no configured test proves the resulting set schedulable"}
+	return Decision{Reason: "no configured test proves the resulting set schedulable"}, nil
 }
 
 // analyzeLocked runs one test over the trial set, preferring the test's
@@ -215,11 +232,25 @@ func (c *Controller) analyzeLocked(ctx context.Context, i int, test core.Test, t
 // Ha & Liu), so the remaining set stays feasible even if the shrunken
 // set happens to fall outside what the configured tests can re-prove.
 func (c *Controller) Release(name string) bool {
+	ok, _ := c.ReleaseLogged(name, nil)
+	return ok
+}
+
+// ReleaseLogged is Release under the write-ahead rule: once name is
+// found resident, log (if non-nil) runs before it is removed. resident
+// reports whether name was resident; a log error leaves it resident
+// and is returned.
+func (c *Controller) ReleaseLogged(name string, log func() error) (resident bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	idx, ok := c.byName[name]
 	if !ok {
-		return false
+		return false, nil
+	}
+	if log != nil {
+		if err := log(); err != nil {
+			return true, err
+		}
 	}
 	removed := c.removeAtLocked(idx)
 	for _, st := range c.states {
@@ -228,7 +259,7 @@ func (c *Controller) Release(name string) bool {
 		}
 	}
 	c.stats.Releases++
-	return true
+	return true, nil
 }
 
 // removeAtLocked swap-deletes the resident task at idx: the last task

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -315,5 +316,58 @@ func TestRequestCancelledIsNotARejection(t *testing.T) {
 	// The same task admits once the context is live again.
 	if d := c.Request(context.Background(), task.New("a", "2", "5", "5", 5)); !d.Admitted {
 		t.Fatalf("retry after cancellation rejected: %+v", d)
+	}
+}
+
+// TestFailedLogLeavesControllerUnchanged: when the log step of a
+// RequestLogged or ReleaseLogged fails, nothing is committed — the
+// resident set, the admit states and every counter but Aborted are as
+// before — so retrying the admission decides and certifies exactly as
+// a controller that never saw the failure.
+func TestFailedLogLeavesControllerUnchanged(t *testing.T) {
+	errLog := errors.New("append failed")
+	failLog := func() error { return errLog }
+	ctx := context.Background()
+	for _, test := range []core.Test{core.DPTest{}, core.GN1Test{}, core.GN2Test{}} {
+		live, err := NewController(16, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewController(16, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b, c := tk("a", 1, 8, 8, 2), tk("b", 2, 10, 10, 3), tk("c", 1, 6, 6, 1)
+		for _, x := range []task.Task{a, b} {
+			if d := live.Request(ctx, x); !d.Admitted {
+				t.Fatalf("%s: admit %s: %+v", test.Name(), x.Name, d)
+			}
+			ref.Request(ctx, x)
+		}
+		if d, err := live.RequestLogged(ctx, c, failLog); !errors.Is(err, errLog) || d.Admitted {
+			t.Errorf("%s: admit with failing log = %+v, %v; want not admitted, %v", test.Name(), d, err, errLog)
+		}
+		if resident, err := live.ReleaseLogged("b", failLog); !resident || !errors.Is(err, errLog) {
+			t.Errorf("%s: release with failing log = %v, %v; want resident, %v", test.Name(), resident, err, errLog)
+		}
+		if got, want := fmt.Sprint(live.Resident().Tasks), fmt.Sprint(ref.Resident().Tasks); got != want {
+			t.Errorf("%s: resident after failed logs = %s, want %s", test.Name(), got, want)
+		}
+		got, want := live.Request(ctx, c), ref.Request(ctx, c)
+		gotCert, err := json.Marshal(got.Certificate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCert, err := json.Marshal(want.Certificate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Admitted != want.Admitted || got.ProvedBy != want.ProvedBy || string(gotCert) != string(wantCert) {
+			t.Errorf("%s: retried admit = %+v %s, want %+v %s", test.Name(), got, gotCert, want, wantCert)
+		}
+		st := live.Stats()
+		if st.Aborted != 1 || st.Releases != 0 || st.Admitted != 3 || st.Requests != st.Admitted+st.Rejected+st.Aborted {
+			t.Errorf("%s: stats after failed logs = %+v, want 1 aborted, 0 releases, 3 admitted", test.Name(), st)
+		}
 	}
 }

@@ -391,34 +391,3 @@ func names(i int) string {
 	}
 	return string(out)
 }
-
-// TestRemoveReinsertInverse checks that Reinsert is the exact inverse
-// of the swap-delete Remove at every position.
-func TestRemoveReinsertInverse(t *testing.T) {
-	c, err := NewController(1000, core.DPTest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 6; i++ {
-		tk := task.Task{Name: names(i), C: 1, D: 1000, T: 1000, A: 1}
-		if d := c.Request(ctx, tk); !d.Admitted {
-			t.Fatalf("admit %d: %s", i, d.Reason)
-		}
-	}
-	before := c.Resident()
-	for i := 0; i < 6; i++ {
-		name := names(i)
-		tk, idx, ok := c.Remove(name)
-		if !ok {
-			t.Fatalf("remove %q", name)
-		}
-		if err := c.Reinsert(tk, idx); err != nil {
-			t.Fatalf("reinsert %q: %v", name, err)
-		}
-		after := c.Resident()
-		if !reflect.DeepEqual(before.Tasks, after.Tasks) {
-			t.Fatalf("remove+reinsert %q not an identity:\nbefore: %v\nafter:  %v", name, before.Tasks, after.Tasks)
-		}
-	}
-}

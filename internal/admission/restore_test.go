@@ -60,51 +60,3 @@ func TestForceAdmitMatchesLiveOrder(t *testing.T) {
 		t.Error("unnamed ForceAdmit accepted")
 	}
 }
-
-// TestRemoveReinsertRoundTrip proves Reinsert is Remove's exact
-// inverse at every index, the rollback path of a failed release log.
-func TestRemoveReinsertRoundTrip(t *testing.T) {
-	c, err := NewNFController(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"a", "b", "c", "d"}
-	for i, n := range names {
-		if err := c.ForceAdmit(tk(n, 1, 8, 8, i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := c.Resident()
-	for _, n := range names {
-		rt, idx, ok := c.Remove(n)
-		if !ok {
-			t.Fatalf("Remove(%s) missed", n)
-		}
-		if c.Len() != len(names)-1 {
-			t.Fatalf("after Remove(%s): len %d", n, c.Len())
-		}
-		if err := c.Reinsert(rt, idx); err != nil {
-			t.Fatalf("Reinsert(%s, %d): %v", n, idx, err)
-		}
-		after := c.Resident()
-		for i := range before.Tasks {
-			if before.Tasks[i] != after.Tasks[i] {
-				t.Fatalf("after Remove+Reinsert of %s, resident[%d] = %+v, want %+v", n, i, after.Tasks[i], before.Tasks[i])
-			}
-		}
-	}
-	// Releases after a round trip still resolve by name (the index map
-	// was rebuilt correctly).
-	if !c.Release("c") || c.Len() != 3 {
-		t.Fatal("release after round trip")
-	}
-	if _, _, ok := c.Remove("zzz"); ok {
-		t.Error("Remove of absent task reported ok")
-	}
-	if err := c.Reinsert(tk("a", 1, 8, 8, 1), 0); err == nil {
-		t.Error("Reinsert of duplicate name accepted")
-	}
-	if err := c.Reinsert(tk("z", 1, 8, 8, 1), 99); err == nil {
-		t.Error("Reinsert at wild index accepted")
-	}
-}

@@ -37,14 +37,13 @@ import (
 // cached ever reaches a certificate except through an exact
 // value-preserving sum.
 //
-// A release that undoes the most recent admission (LIFO, the common
-// server rollback and bounded-lifetime churn pattern) restores the
-// pre-admission witness and sum arrays from an undo journal (the
-// arrays are replaced wholesale on commit, never mutated, so the
-// journal holds the old headers at zero copy cost) and stays warm. Any
-// other mutation — out-of-order release, WAL replay, rollback
-// reinsert, admission proven by another test, Amax/Amin drift — drops
-// to cold in O(1); a cold TryAdd still rejects a newcomer that fails
+// A release that undoes the most recent admission (LIFO, the
+// bounded-lifetime churn pattern) restores the pre-admission witness
+// and sum arrays from an undo journal (the arrays are replaced
+// wholesale on commit, never mutated, so the journal holds the old
+// headers at zero copy cost) and stays warm. Any other mutation —
+// out-of-order release, WAL replay, admission proven by another test,
+// Amax/Amin drift — drops to cold in O(1); a cold TryAdd still rejects a newcomer that fails
 // its own bound, and otherwise falls back to the full analysis, whose
 // accepting verdict re-warms the state (ObserveFull).
 // A full-run verdict carries witnesses but not both condition sums, so
@@ -467,11 +466,6 @@ func (st *gn2AdmitState) CommitRemove(removed task.Task, idx int) {
 }
 
 func (st *gn2AdmitState) CommitReplay(t task.Task) {
-	st.pend = nil
-	st.goCold()
-}
-
-func (st *gn2AdmitState) CommitReinsert(t task.Task, idx int) {
 	st.pend = nil
 	st.goCold()
 }

@@ -28,18 +28,20 @@ import (
 //     TryAdd returns (Verdict{}, false) when the state cannot certify,
 //     and the caller must fall back to the full analysis. TryAdd never
 //     mutates committed state: a rejected or abandoned trial leaves
-//     the state exactly as it was.
+//     the state exactly as it was. An accepted trial is abandoned
+//     when the controller cannot log the admission (its write-ahead
+//     step failed): no commit call follows, and no later call may
+//     apply what the abandoned trial stashed.
 //   - ObserveFull reports the verdict of a full Analyze the caller ran
 //     after a fallback, letting the state re-warm from it.
 //   - CommitAdd reports that trial from the immediately preceding
 //     TryAdd/ObserveFull for the same task was made resident;
 //     CommitRemove that the resident task at idx was swap-deleted
 //     (the last task moved into idx); CommitReplay that t was
-//     force-admitted without analysis (WAL replay); CommitReinsert
-//     that t was reinserted at idx by the swap-delete inverse
-//     (rollback). Commit calls must mirror every controller mutation,
-//     in order, or the state invalidates itself on the next mismatch
-//     check.
+//     force-admitted without analysis (WAL replay). Commit calls must
+//     mirror every controller mutation, in order, or the state
+//     invalidates itself on the next mismatch check. Mutations are
+//     logged before they are committed, so no commit is ever undone.
 //
 // Each of DP, GN1 and GN2 accepts a set only when every task's bound
 // holds, so a newcomer that fails its own bound is a sound rejection
@@ -53,7 +55,6 @@ type AdmitState interface {
 	CommitAdd(t task.Task)
 	CommitRemove(removed task.Task, idx int)
 	CommitReplay(t task.Task)
-	CommitReinsert(t task.Task, idx int)
 }
 
 // IncrementalTest is implemented by tests that can maintain AdmitState.
@@ -162,10 +163,6 @@ func (st *dpAdmitState) CommitRemove(removed task.Task, idx int) {
 	}
 }
 
-// CommitReinsert: DP's state is position-independent, so a swap-delete
-// inverse is just an add.
-func (st *dpAdmitState) CommitReinsert(t task.Task, idx int) { st.apply(t) }
-
 // --- GN1 --------------------------------------------------------------
 
 // gn1AdmitState is GN1's newcomer-first stage, and it keeps no state:
@@ -217,4 +214,3 @@ func (gn1AdmitState) ObserveFull(*task.Set, *Verdict) {}
 func (gn1AdmitState) CommitAdd(task.Task)             {}
 func (gn1AdmitState) CommitRemove(task.Task, int)     {}
 func (gn1AdmitState) CommitReplay(task.Task)          {}
-func (gn1AdmitState) CommitReinsert(task.Task, int)   {}

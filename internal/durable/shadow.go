@@ -16,10 +16,12 @@ type shadow struct {
 	controllers map[string]*ControllerState
 	placements  map[string]*PlacementState
 	// skipped counts records that referenced a missing target or
-	// duplicated an existing one. Tolerated (not fatal) because the
-	// server's per-tenant ordering has one benign hole: a delete racing
-	// an in-flight admit on another tenant can append after it, and a
-	// replay must not refuse to start over it.
+	// duplicated an existing one. The server logs each mutation before
+	// applying it, under the tenant lock, so it never appends such a
+	// record: a live skip is a server bug. Skips are tolerated (not
+	// fatal) only for old logs, written when mutations were applied
+	// before they were logged and a create racing a delete of the same
+	// name could land first; a replay must not refuse to start over one.
 	skipped uint64
 }
 

@@ -2,16 +2,19 @@ package server
 
 // Durability wiring (internal/durable, DESIGN.md "Durability").
 //
-// The server is the WAL's single writer: every successful mutation of
-// the controller registries is applied in memory first, then recorded
-// with s.record while the mutating request still holds its tenant's
-// write lock. Holding the lock across [apply + append] makes the log
-// order equal the apply order per controller, which is what lets
-// replay rebuild resident sets byte-identically. If the append fails,
-// the in-memory mutation is rolled back with its exact inverse, the
-// server latches degraded (controllers turn read-only, mutations
-// answer 503 store_failed), and the daemon keeps serving analyses —
-// a full crash would trade every tenant for a disk hiccup.
+// The server is the WAL's single writer, and every mutation of the
+// controller registries is write-ahead: decide, log, apply. A mutating
+// request takes its tenant's lock (tenants.go), decides what would
+// change, appends the record through logStep, and only then changes
+// memory. Holding the lock across [log + apply] makes the log order
+// equal the apply order per tenant, which is what lets replay rebuild
+// resident sets byte-identically. If the append fails, nothing has
+// changed, so nothing is rolled back: the server latches degraded
+// (controllers turn read-only, mutations answer 503 store_failed) and
+// the daemon keeps serving analyses — a full crash would trade every
+// tenant for a disk hiccup. The only undo left is a failed create's
+// unpublish (tenants.create); no other mutation can have touched the
+// tenant, because each waits on its lock and then finds it gone.
 //
 // Recovery is the other direction: fpgaschedd opens the store (which
 // replays snapshot-then-log into a state image), calls Restore to
@@ -37,9 +40,10 @@ import (
 // fast path for daemons running without -state-dir and lets tests
 // inject failures.
 type Store interface {
-	// Append logs one mutation record, assigning its sequence. An
-	// error means the mutation was NOT durably recorded; the caller
-	// must roll it back.
+	// Append logs one mutation record, assigning its sequence. The
+	// server calls it before applying the mutation; an error means the
+	// record was NOT durably logged, and the mutation is abandoned
+	// before it changes anything.
 	Append(durable.Record) error
 	// Metrics snapshots the store's counters for /metrics.
 	Metrics() durable.Metrics
@@ -93,19 +97,25 @@ func (s *Server) mutable(w http.ResponseWriter) bool {
 	return true
 }
 
-// record persists one mutation record; nil when persistence is off.
-// On failure the server latches degraded mode — the caller rolls back
-// its in-memory mutation and reports storeFailed.
-func (s *Server) record(r durable.Record) error {
-	st := s.getStore()
-	if st == nil {
+// logStep returns the log step of one mutating request: the mutation
+// calls it once it has decided what to change and before changing
+// anything. The step appends rec (nothing when persistence is off); if
+// the append fails it latches degraded mode, answers the request 503
+// store_failed and returns the error, and the mutation is abandoned
+// with nothing to undo.
+func (s *Server) logStep(w http.ResponseWriter, rec durable.Record) func() error {
+	return func() error {
+		st := s.getStore()
+		if st == nil {
+			return nil
+		}
+		if err := st.Append(rec); err != nil {
+			s.degraded.Store(true)
+			writeError(w, storeFailed(err))
+			return err
+		}
 		return nil
 	}
-	if err := st.Append(r); err != nil {
-		s.degraded.Store(true)
-		return err
-	}
-	return nil
 }
 
 // storeFailed is the mutation-lost error document: 503, code
@@ -145,10 +155,7 @@ func (s *Server) Restore(snap *durable.Snapshot) error {
 				return fmt.Errorf("server: restoring controller %q: %w", cs.Name, err)
 			}
 		}
-		t := &tenant{ctrl: ctrl, columns: cs.Columns, tests: clean}
-		s.cmu.Lock()
-		s.controllers[cs.Name] = t
-		s.cmu.Unlock()
+		s.controllers.put(cs.Name, &tenant{ctrl: ctrl, columns: cs.Columns, tests: clean})
 	}
 	for _, ps := range snap.Placements {
 		heur, err := twod.ParseHeuristic(ps.Heuristic)
@@ -174,9 +181,7 @@ func (s *Server) Restore(snap *durable.Snapshot) error {
 			}
 			t.tasks[tk.Name] = placed2D{task: tk, rect: pt.Rect.Model(), id: pt.ID}
 		}
-		s.pmu.Lock()
-		s.placements[ps.Name] = t
-		s.pmu.Unlock()
+		s.placements.put(ps.Name, t)
 	}
 	return nil
 }

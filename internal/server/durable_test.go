@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fpgasched/api"
 	"fpgasched/internal/durable"
@@ -485,14 +486,100 @@ func TestMetricsWALCounters(t *testing.T) {
 	}
 }
 
+// parkingStore holds every controller and placement-controller delete
+// at the store until the test releases it, so a request can race a
+// delete whose record is not yet logged.
+type parkingStore struct {
+	*durable.Store
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkingStore) Append(r durable.Record) error {
+	if r.Op == durable.OpDeleteController || r.Op == durable.OpDeletePlacement {
+		p.parked <- struct{}{}
+		<-p.release
+	}
+	return p.Store.Append(r)
+}
+
+// TestDeleteRecreateRecovers: a PUT racing a DELETE of the same name
+// must not win before the delete is logged. If it did, its create
+// record would land ahead of the delete's, recovery would skip the
+// create as a duplicate and then apply the delete, and a controller
+// the client saw created (201) would be gone after a restart. Under
+// write-ahead the name stays taken until the delete is durable, so the
+// racing PUT answers 409 and the recovered registries equal the live
+// ones on both surfaces.
+func TestDeleteRecreateRecovers(t *testing.T) {
+	dir := t.TempDir()
+	opts := durable.Options{Dir: dir, Fsync: durable.FsyncNever}
+	st, err := durable.Open(opts)
+	if err != nil {
+		t.Fatalf("durable.Open: %v", err)
+	}
+	ps := &parkingStore{Store: st, parked: make(chan struct{}), release: make(chan struct{})}
+	srv := New(Config{EngineConfig: engine.Config{Workers: 2, CacheSize: 128}, Store: ps})
+	live := httptest.NewServer(srv)
+	t.Cleanup(func() { live.Close(); srv.Close() })
+
+	for _, c := range []struct{ path, body string }{
+		{"/v1/controllers/x", `{"columns":4}`},
+		{"/v1/placement/controllers/x", `{"width":4,"height":4,"heuristic":"bottom-left"}`},
+	} {
+		if resp := doJSON(t, "PUT", live.URL+c.path, c.body, nil); resp.StatusCode != 201 {
+			t.Fatalf("PUT %s = %d, want 201", c.path, resp.StatusCode)
+		}
+		deleted := make(chan error, 1)
+		go func() {
+			code, body, err := rawDo("DELETE", live.URL+c.path, "")
+			if err == nil && code != 204 {
+				err = fmt.Errorf("DELETE %s = %d %s, want 204", c.path, code, body)
+			}
+			deleted <- err
+		}()
+		select {
+		case <-ps.parked:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("DELETE %s never reached the store", c.path)
+		}
+		var e api.Error
+		resp := doJSON(t, "PUT", live.URL+c.path, c.body, &e)
+		ps.release <- struct{}{}
+		if resp.StatusCode != 409 || e.Code != api.CodeConflict {
+			t.Errorf("PUT %s while its delete is unlogged = %d %q, want 409 conflict (the name stays taken until the delete is durable)",
+				c.path, resp.StatusCode, e.Code)
+		}
+		if err := <-deleted; err != nil {
+			t.Error(err)
+		}
+	}
+	want := map[string][]byte{
+		"/v1/controllers":           fetchBytes(t, live.URL+"/v1/controllers"),
+		"/v1/placement/controllers": fetchBytes(t, live.URL+"/v1/placement/controllers"),
+	}
+	if n := st.Metrics().ReplaySkipped; n != 0 {
+		t.Errorf("live store skipped %d records, want 0", n)
+	}
+	live.Close()
+	_, rec, _ := recoverServer(t, opts)
+	for p, w := range want {
+		if got := fetchBytes(t, rec.URL+p); string(got) != string(w) {
+			t.Errorf("recovered %s differs:\nlive:      %s\nrecovered: %s", p, w, got)
+		}
+	}
+}
+
 // TestConcurrentDurableMutations is the -race stress (CI runs this
 // package under -race): concurrent admit/release/resident/delete
 // traffic over one admission and one placement controller with a real
-// store, then a recovery pass proving the log stayed consistent with
-// whatever interleaving won.
+// store, plus two workers racing create/delete of one side controller
+// name on each surface, then a recovery pass proving the log stayed
+// consistent with whatever interleaving won. Under write-ahead every
+// live record applies cleanly, so the store must have skipped none.
 func TestConcurrentDurableMutations(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, _ := newDurableServer(t, durable.Options{Dir: dir, Fsync: durable.FsyncNever})
+	_, ts, st := newDurableServer(t, durable.Options{Dir: dir, Fsync: durable.FsyncNever})
 	if resp := doJSON(t, "PUT", ts.URL+"/v1/controllers/c1", `{"columns":32,"tests":["GN2"]}`, nil); resp.StatusCode != 201 {
 		t.Fatalf("create = %d", resp.StatusCode)
 	}
@@ -512,7 +599,7 @@ func TestConcurrentDurableMutations(t *testing.T) {
 	const workers = 8
 	const iters = 25
 	var wg sync.WaitGroup
-	errs := make(chan error, workers*iters*4)
+	errs := make(chan error, workers*iters*10) // at most one per op
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -527,12 +614,14 @@ func TestConcurrentDurableMutations(t *testing.T) {
 					{"GET", "/v1/placement/controllers/g1/resident", ""},
 					{"DELETE", "/v1/placement/controllers/g1/tasks/" + task, ""},
 				}
-				// One worker also churns delete/recreate of a side
-				// controller, racing the others' lookups.
-				if w == 0 {
+				// Two workers also churn delete/recreate of one side
+				// controller name per surface, racing each other.
+				if w < 2 {
 					ops = append(ops,
 						struct{ method, path, body string }{"PUT", "/v1/controllers/churn", `{"columns":4}`},
-						struct{ method, path, body string }{"DELETE", "/v1/controllers/churn", ""})
+						struct{ method, path, body string }{"PUT", "/v1/placement/controllers/churn", `{"width":4,"height":4,"heuristic":"bottom-left"}`},
+						struct{ method, path, body string }{"DELETE", "/v1/controllers/churn", ""},
+						struct{ method, path, body string }{"DELETE", "/v1/placement/controllers/churn", ""})
 				}
 				for _, op := range ops {
 					resp := doJSON(t, op.method, ts.URL+op.path, op.body, nil)
@@ -550,9 +639,17 @@ func TestConcurrentDurableMutations(t *testing.T) {
 	}
 
 	// The log must describe exactly the state the race left behind.
-	want := map[string][]byte{
-		"/v1/controllers/c1/resident":           fetchBytes(t, ts.URL+"/v1/controllers/c1/resident"),
-		"/v1/placement/controllers/g1/resident": fetchBytes(t, ts.URL+"/v1/placement/controllers/g1/resident"),
+	want := map[string][]byte{}
+	for _, p := range []string{
+		"/v1/controllers",
+		"/v1/controllers/c1/resident",
+		"/v1/placement/controllers",
+		"/v1/placement/controllers/g1/resident",
+	} {
+		want[p] = fetchBytes(t, ts.URL+p)
+	}
+	if n := st.Metrics().ReplaySkipped; n != 0 {
+		t.Errorf("live store skipped %d records, want 0 (a logged mutation its predecessors did not allow)", n)
 	}
 	ts.Close()
 	_, rec, _ := recoverServer(t, durable.Options{Dir: dir, Fsync: durable.FsyncNever})

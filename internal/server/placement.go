@@ -21,18 +21,17 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 
 	"fpgasched/api"
 	"fpgasched/internal/twod"
 )
 
 // tenant2D is one named placement controller: a live layout plus the
-// resident tasks by name.
+// resident tasks by name, all guarded by the tenant lock.
 type tenant2D struct {
+	tenantBase
 	heuristic twod.Heuristic
 
-	mu     sync.Mutex
 	layout *twod.Layout
 	tasks  map[string]placed2D
 	nextID int64
@@ -123,21 +122,11 @@ func (s *Server) handlePlacementList(w http.ResponseWriter, r *http.Request) {
 	if !s.controllersReady(w) {
 		return
 	}
-	s.pmu.RLock()
-	type namedTenant struct {
-		name string
-		t    *tenant2D
+	ctrls := s.placements.snapshot()
+	infos := make([]api.PlacementControllerInfo, 0, len(ctrls))
+	for _, c := range ctrls {
+		infos = append(infos, c.t.info(c.name))
 	}
-	snapshot := make([]namedTenant, 0, len(s.placements))
-	for name, t := range s.placements {
-		snapshot = append(snapshot, namedTenant{name, t})
-	}
-	s.pmu.RUnlock()
-	infos := make([]api.PlacementControllerInfo, 0, len(snapshot))
-	for _, nt := range snapshot {
-		infos = append(infos, nt.t.info(nt.name))
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, api.PlacementControllerList{Controllers: infos})
 }
 
@@ -165,36 +154,9 @@ func (s *Server) handlePlacementCreate(w http.ResponseWriter, r *http.Request) {
 		layout:    twod.NewLayout(req.Width, req.Height),
 		tasks:     make(map[string]placed2D),
 	}
-	s.pmu.Lock()
-	if _, exists := s.placements[name]; exists {
-		s.pmu.Unlock()
-		writeError(w, api.Errorf(api.CodeConflict, "placement controller %q already exists (delete it first to change its configuration)", name))
+	if !s.placements.create(w, name, t, s.logStep(w, recCreatePlacement(name, req.Width, req.Height, heur.String()))) {
 		return
 	}
-	if s.maxControllers > 0 && len(s.placements) >= s.maxControllers {
-		s.pmu.Unlock()
-		writeErrorStatus(w, http.StatusConflict,
-			api.Errorf(api.CodeLimitExceeded, "placement controller limit of %d reached", s.maxControllers).
-				WithDetail("limit", strconv.Itoa(s.maxControllers)))
-		return
-	}
-	// Hold the new tenant's lock across publish + record so a racing
-	// admit cannot append its record before the create's (the same
-	// ordering discipline handleControllerCreate keeps with wmu).
-	t.mu.Lock()
-	s.placements[name] = t
-	s.pmu.Unlock()
-	if err := s.record(recCreatePlacement(name, req.Width, req.Height, heur.String())); err != nil {
-		s.pmu.Lock()
-		if cur, ok := s.placements[name]; ok && cur == t {
-			delete(s.placements, name)
-		}
-		s.pmu.Unlock()
-		t.mu.Unlock()
-		writeError(w, storeFailed(err))
-		return
-	}
-	t.mu.Unlock()
 	writeJSON(w, http.StatusCreated, t.info(name))
 }
 
@@ -203,59 +165,9 @@ func (s *Server) handlePlacementDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	s.pmu.RLock()
-	t, ok := s.placements[name]
-	s.pmu.RUnlock()
-	if !ok {
-		writeError(w, api.Errorf(api.CodeNotFound, "no placement controller %q", name))
-		return
+	if s.placements.delete(w, name, s.logStep(w, recDeletePlacement(name))) {
+		w.WriteHeader(http.StatusNoContent)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s.pmu.Lock()
-	if cur, ok := s.placements[name]; !ok || cur != t {
-		s.pmu.Unlock()
-		writeError(w, api.Errorf(api.CodeNotFound, "no placement controller %q", name))
-		return
-	}
-	delete(s.placements, name)
-	s.pmu.Unlock()
-	if err := s.record(recDeletePlacement(name)); err != nil {
-		s.pmu.Lock()
-		if _, taken := s.placements[name]; !taken {
-			s.placements[name] = t
-		}
-		s.pmu.Unlock()
-		writeError(w, storeFailed(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// stillRegistered2D is the placement twin of stillRegistered: after
-// taking t.mu a mutation re-checks that a concurrent delete has not
-// unregistered the tenant, so no record is appended for a controller
-// whose delete record already landed.
-func (s *Server) stillRegistered2D(w http.ResponseWriter, name string, t *tenant2D) bool {
-	s.pmu.RLock()
-	cur, ok := s.placements[name]
-	s.pmu.RUnlock()
-	if !ok || cur != t {
-		writeError(w, api.Errorf(api.CodeNotFound, "no placement controller %q", name))
-		return false
-	}
-	return true
-}
-
-// lookup2D fetches a placement tenant or writes a 404.
-func (s *Server) lookup2D(w http.ResponseWriter, name string) (*tenant2D, bool) {
-	s.pmu.RLock()
-	t, ok := s.placements[name]
-	s.pmu.RUnlock()
-	if !ok {
-		writeError(w, api.Errorf(api.CodeNotFound, "no placement controller %q", name))
-	}
-	return t, ok
 }
 
 func (s *Server) handlePlacementAdmit(w http.ResponseWriter, r *http.Request) {
@@ -263,8 +175,7 @@ func (s *Server) handlePlacementAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	t, ok := s.lookup2D(w, name)
-	if !ok {
+	if _, ok := s.placements.get(w, name); !ok {
 		return
 	}
 	var wt api.Task2D
@@ -285,11 +196,11 @@ func (s *Server) handlePlacementAdmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeInvalidTaskset, "task name is required (it keys release)"))
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !s.stillRegistered2D(w, name, t) {
+	t, ok := s.placements.lock(w, name)
+	if !ok {
 		return
 	}
+	defer t.mu.Unlock()
 	if _, dup := t.tasks[tk.Name]; dup {
 		writeError(w, api.Errorf(api.CodeConflict, "task %q is already placed (release it first)", tk.Name))
 		return
@@ -307,10 +218,8 @@ func (s *Server) handlePlacementAdmit(w http.ResponseWriter, r *http.Request) {
 			tk.W, tk.H, t.layout.Width(), t.layout.Height()))
 		return
 	}
-	t.nextID++
-	rect, placed := t.layout.Place(t.nextID, tk.W, tk.H, t.heuristic)
-	if !placed {
-		t.nextID--
+	rect, fits := t.layout.Fit(tk.W, tk.H, t.heuristic)
+	if !fits {
 		writeJSON(w, http.StatusOK, api.PlacementAdmitResponse{
 			Reason: fmt.Sprintf("no free region fits a %dx%d rectangle", tk.W, tk.H),
 		})
@@ -320,13 +229,13 @@ func (s *Server) handlePlacementAdmit(w http.ResponseWriter, r *http.Request) {
 	// heuristic inputs: replay re-places at exactly this region, so
 	// recovered layouts match even where heuristic tie-breaking depends
 	// on the full arrival history.
-	if err := s.record(recPlace(name, tk, rect, t.nextID)); err != nil {
-		t.layout.Remove(t.nextID)
-		t.nextID--
-		writeError(w, storeFailed(err))
+	id := t.nextID + 1
+	if s.logStep(w, recPlace(name, tk, rect, id))() != nil {
 		return
 	}
-	t.tasks[tk.Name] = placed2D{task: tk, rect: rect, id: t.nextID}
+	t.layout.Commit(id, rect)
+	t.nextID = id
+	t.tasks[tk.Name] = placed2D{task: tk, rect: rect, id: id}
 	wr := api.RectFrom(rect)
 	writeJSON(w, http.StatusOK, api.PlacementAdmitResponse{Admitted: true, Rect: &wr})
 }
@@ -336,31 +245,22 @@ func (s *Server) handlePlacementRelease(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	name := r.PathValue("name")
-	t, ok := s.lookup2D(w, name)
+	t, ok := s.placements.lock(w, name)
 	if !ok {
 		return
 	}
-	taskName := r.PathValue("task")
-	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !s.stillRegistered2D(w, name, t) {
-		return
-	}
+	taskName := r.PathValue("task")
 	p, resident := t.tasks[taskName]
 	if !resident {
 		writeError(w, api.Errorf(api.CodeNotFound, "no placed task %q in placement controller %q", taskName, name))
 		return
 	}
-	t.layout.Remove(p.id)
-	delete(t.tasks, taskName)
-	if err := s.record(recUnplace(name, taskName)); err != nil {
-		// Exact inverse: the freed region cannot have been claimed —
-		// t.mu is still held.
-		_ = t.layout.PlaceAt(p.id, p.rect)
-		t.tasks[taskName] = p
-		writeError(w, storeFailed(err))
+	if s.logStep(w, recUnplace(name, taskName))() != nil {
 		return
 	}
+	t.layout.Remove(p.id)
+	delete(t.tasks, taskName)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -369,7 +269,7 @@ func (s *Server) handlePlacementResident(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	name := r.PathValue("name")
-	t, ok := s.lookup2D(w, name)
+	t, ok := s.placements.get(w, name)
 	if !ok {
 		return
 	}

@@ -61,7 +61,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -164,20 +163,19 @@ type Config struct {
 
 // Server is the HTTP API. Create with New; it implements http.Handler.
 type Server struct {
-	engine         *engine.Engine
-	ownedEngine    bool
-	maxBodyBytes   int64
-	maxTasks       int
-	maxBatch       int
-	maxControllers int
-	maxSimHorizon  timeunit.Time
-	maxExpSamples  int
-	maxJobs        int
-	jobs           *jobs.Manager
-	simSem         chan struct{} // bounds concurrent simulations
-	mux            *http.ServeMux
-	fleet          *cluster.Fleet // nil in single-node mode
-	draining       atomic.Bool    // flips once; /readyz turns 503
+	engine        *engine.Engine
+	ownedEngine   bool
+	maxBodyBytes  int64
+	maxTasks      int
+	maxBatch      int
+	maxSimHorizon timeunit.Time
+	maxExpSamples int
+	maxJobs       int
+	jobs          *jobs.Manager
+	simSem        chan struct{} // bounds concurrent simulations
+	mux           *http.ServeMux
+	fleet         *cluster.Fleet // nil in single-node mode
+	draining      atomic.Bool    // flips once; /readyz turns 503
 
 	// Durability (see durable.go). store is an atomic pointer because
 	// AttachStore runs while the listener serves; degraded latches on
@@ -187,11 +185,8 @@ type Server struct {
 	degraded atomic.Bool
 	notReady atomic.Bool
 
-	cmu         sync.RWMutex
-	controllers map[string]*tenant
-
-	pmu        sync.RWMutex
-	placements map[string]*tenant2D
+	controllers *tenants[*tenant]
+	placements  *tenants[*tenant2D]
 
 	mmu     sync.Mutex
 	metrics map[string]*api.RouteMetrics
@@ -200,15 +195,10 @@ type Server struct {
 // tenant is one named admission controller plus its creation parameters
 // (echoed on list/resident responses).
 type tenant struct {
+	tenantBase
 	ctrl    *admission.Controller
 	columns int
 	tests   []string
-	// wmu serialises this tenant's mutations with their WAL appends
-	// (and with the tenant's registry membership): every mutation holds
-	// it across [apply + record], so the log order per controller
-	// equals the apply order, and a delete cannot interleave between a
-	// racing admit's apply and its append.
-	wmu sync.Mutex
 }
 
 // New returns a ready-to-serve Server.
@@ -216,8 +206,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		engine:       cfg.Engine,
 		maxBodyBytes: cfg.MaxBodyBytes,
-		controllers:  make(map[string]*tenant),
-		placements:   make(map[string]*tenant2D),
 		metrics:      make(map[string]*api.RouteMetrics),
 		fleet:        cfg.Fleet,
 	}
@@ -243,10 +231,12 @@ func New(cfg Config) *Server {
 	if s.maxBatch == 0 {
 		s.maxBatch = DefaultMaxBatch
 	}
-	s.maxControllers = cfg.MaxControllers
-	if s.maxControllers == 0 {
-		s.maxControllers = DefaultMaxControllers
+	maxControllers := cfg.MaxControllers
+	if maxControllers == 0 {
+		maxControllers = DefaultMaxControllers
 	}
+	s.controllers = newTenants[*tenant]("controller", maxControllers)
+	s.placements = newTenants[*tenant2D]("placement controller", maxControllers)
 	switch {
 	case cfg.MaxSimHorizon > 0:
 		s.maxSimHorizon = timeunit.FromUnits(cfg.MaxSimHorizon)
@@ -596,20 +586,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := s.getStore(); st != nil {
 		wm := api.WALMetricsFrom(st.Metrics())
-		// The server's latch can trip before the store's (a rollback
-		// failure path), so report degraded if either side saw it.
+		// The server latches on any failed append, whether or not the
+		// Store implementation latches too, so report degraded if
+		// either side saw it.
 		wm.Degraded = wm.Degraded || s.degraded.Load()
 		resp.WAL = &wm
 	}
-	s.cmu.RLock()
-	if len(s.controllers) > 0 {
+	if ctrls := s.controllers.snapshot(); len(ctrls) > 0 {
 		var am api.AdmissionMetrics
-		for _, tn := range s.controllers {
-			am.Add(tn.ctrl.Stats())
+		for _, c := range ctrls {
+			am.Add(c.t.ctrl.Stats())
 		}
 		resp.Admission = &am
 	}
-	s.cmu.RUnlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -897,25 +886,11 @@ func (s *Server) handleControllerList(w http.ResponseWriter, r *http.Request) {
 	if !s.controllersReady(w) {
 		return
 	}
-	// Snapshot under the registry lock, then query each tenant after
-	// releasing it: ctrl.Len() takes the per-controller mutex, which an
-	// in-flight admission analysis can hold for a long time, and
-	// coupling that to cmu would stall every other controller request.
-	s.cmu.RLock()
-	type namedTenant struct {
-		name string
-		t    *tenant
+	ctrls := s.controllers.snapshot()
+	infos := make([]api.ControllerInfo, 0, len(ctrls))
+	for _, c := range ctrls {
+		infos = append(infos, s.tenantInfo(c.name, c.t))
 	}
-	snapshot := make([]namedTenant, 0, len(s.controllers))
-	for name, t := range s.controllers {
-		snapshot = append(snapshot, namedTenant{name, t})
-	}
-	s.cmu.RUnlock()
-	infos := make([]api.ControllerInfo, 0, len(snapshot))
-	for _, nt := range snapshot {
-		infos = append(infos, s.tenantInfo(nt.name, nt.t))
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, api.ControllerList{Controllers: infos})
 }
 
@@ -950,37 +925,10 @@ func (s *Server) handleControllerCreate(w http.ResponseWriter, r *http.Request) 
 		writeError(w, api.Errorf(api.CodeInvalidRequest, "%v", err))
 		return
 	}
-	s.cmu.Lock()
-	if _, exists := s.controllers[name]; exists {
-		s.cmu.Unlock()
-		writeError(w, api.Errorf(api.CodeConflict, "controller %q already exists (delete it first to change its configuration)", name))
-		return
-	}
-	if s.maxControllers > 0 && len(s.controllers) >= s.maxControllers {
-		s.cmu.Unlock()
-		writeErrorStatus(w, http.StatusConflict,
-			api.Errorf(api.CodeLimitExceeded, "controller limit of %d reached", s.maxControllers).
-				WithDetail("limit", strconv.Itoa(s.maxControllers)))
-		return
-	}
 	t := &tenant{ctrl: ctrl, columns: req.Columns, tests: clean}
-	// Hold the new tenant's write lock across publish + record so a
-	// racing admit (which takes wmu after finding the tenant in the
-	// map) cannot append its record before the create's.
-	t.wmu.Lock()
-	s.controllers[name] = t
-	s.cmu.Unlock()
-	if err := s.record(recCreateController(name, req.Columns, clean)); err != nil {
-		s.cmu.Lock()
-		if cur, ok := s.controllers[name]; ok && cur == t {
-			delete(s.controllers, name)
-		}
-		s.cmu.Unlock()
-		t.wmu.Unlock()
-		writeError(w, storeFailed(err))
+	if !s.controllers.create(w, name, t, s.logStep(w, recCreateController(name, req.Columns, clean))) {
 		return
 	}
-	t.wmu.Unlock()
 	writeJSON(w, http.StatusCreated, s.tenantInfo(name, t))
 }
 
@@ -989,62 +937,9 @@ func (s *Server) handleControllerDelete(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	name := r.PathValue("name")
-	s.cmu.RLock()
-	t, ok := s.controllers[name]
-	s.cmu.RUnlock()
-	if !ok {
-		writeError(w, api.Errorf(api.CodeNotFound, "no controller %q", name))
-		return
+	if s.controllers.delete(w, name, s.logStep(w, recDeleteController(name))) {
+		w.WriteHeader(http.StatusNoContent)
 	}
-	// Serialise with in-flight admits/releases on this tenant so the
-	// delete record cannot land between a racing mutation's apply and
-	// its append.
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	s.cmu.Lock()
-	if cur, ok := s.controllers[name]; !ok || cur != t {
-		s.cmu.Unlock()
-		writeError(w, api.Errorf(api.CodeNotFound, "no controller %q", name))
-		return
-	}
-	delete(s.controllers, name)
-	s.cmu.Unlock()
-	if err := s.record(recDeleteController(name)); err != nil {
-		s.cmu.Lock()
-		if _, taken := s.controllers[name]; !taken {
-			s.controllers[name] = t
-		}
-		s.cmu.Unlock()
-		writeError(w, storeFailed(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// lookup fetches a tenant or writes a 404.
-func (s *Server) lookup(w http.ResponseWriter, name string) (*tenant, bool) {
-	s.cmu.RLock()
-	t, ok := s.controllers[name]
-	s.cmu.RUnlock()
-	if !ok {
-		writeError(w, api.Errorf(api.CodeNotFound, "no controller %q", name))
-	}
-	return t, ok
-}
-
-// stillRegistered re-checks that t is the live tenant under name. A
-// mutation that took t.wmu after a lookup may have lost a race with a
-// delete; without this check its record would resurrect state for a
-// controller the log says is gone.
-func (s *Server) stillRegistered(w http.ResponseWriter, name string, t *tenant) bool {
-	s.cmu.RLock()
-	cur, ok := s.controllers[name]
-	s.cmu.RUnlock()
-	if !ok || cur != t {
-		writeError(w, api.Errorf(api.CodeNotFound, "no controller %q", name))
-		return false
-	}
-	return true
 }
 
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
@@ -1052,8 +947,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	t, ok := s.lookup(w, name)
-	if !ok {
+	if _, ok := s.controllers.get(w, name); !ok {
 		return
 	}
 	var tk task.Task
@@ -1061,39 +955,31 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeErr(err))
 		return
 	}
+	t, ok := s.controllers.lock(w, name)
+	if !ok {
+		return
+	}
+	defer t.mu.Unlock()
 	// Cap the resident set like any analysed set: each admission re-runs
 	// the superlinear tests over all residents, so unbounded growth is
-	// the same DoS MaxTasks closes on /v1/analyze. Best-effort (checked
-	// outside the controller lock); concurrent admits may overshoot by
-	// at most the in-flight request count.
+	// the same DoS MaxTasks closes on /v1/analyze.
 	if s.maxTasks > 0 && t.ctrl.Len() >= s.maxTasks {
 		writeErrorStatus(w, http.StatusConflict,
 			api.Errorf(api.CodeLimitExceeded, "controller %q is at the %d-task resident capacity", name, s.maxTasks).
 				WithDetail("limit", strconv.Itoa(s.maxTasks)))
 		return
 	}
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	if !s.stillRegistered(w, name, t) {
-		return
+	// Only admissions are logged; a rejection has nothing to persist.
+	d, err := t.ctrl.RequestLogged(r.Context(), tk, s.logStep(w, recAdmit(name, tk)))
+	if err != nil {
+		return // the log step has answered 503 store_failed
 	}
-	d := t.ctrl.Request(r.Context(), tk)
 	if d.Err != nil {
 		// An aborted analysis is not a domain answer: a 200
 		// admitted:false would make clients record a definitive
 		// rejection when a retry might admit.
 		writeError(w, api.Errorf(api.CodeCancelled, "admission analysis aborted: %v", d.Err))
 		return
-	}
-	// Only admissions mutate state; a rejection has nothing to persist.
-	// A failed append rolls the admission back: the client gets a 503,
-	// so the request counts as aborted, not admitted.
-	if d.Admitted {
-		if err := s.record(recAdmit(name, tk)); err != nil {
-			t.ctrl.AbortAdmit(tk.Name)
-			writeError(w, storeFailed(err))
-			return
-		}
 	}
 	resp := api.AdmitResponse{Admitted: d.Admitted, ProvedBy: d.ProvedBy, Reason: d.Reason, Certificate: d.Certificate}
 	w.Header().Set("Content-Type", "application/json")
@@ -1106,29 +992,21 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	t, ok := s.lookup(w, name)
+	t, ok := s.controllers.lock(w, name)
 	if !ok {
 		return
 	}
+	defer t.mu.Unlock()
 	taskName := r.PathValue("task")
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	if !s.stillRegistered(w, name, t) {
-		return
-	}
-	// Remove keeps a rollback handle (the task and its slot) so a failed
-	// append restores the resident set exactly, order included.
-	tk, idx, ok := t.ctrl.Remove(taskName)
-	if !ok {
+	resident, err := t.ctrl.ReleaseLogged(taskName, s.logStep(w, recRelease(name, taskName)))
+	switch {
+	case err != nil:
+		// The log step has answered 503 store_failed.
+	case !resident:
 		writeError(w, api.Errorf(api.CodeNotFound, "no resident task %q in controller %q", taskName, name))
-		return
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	if err := s.record(recRelease(name, taskName)); err != nil {
-		_ = t.ctrl.Reinsert(tk, idx)
-		writeError(w, storeFailed(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleResident(w http.ResponseWriter, r *http.Request) {
@@ -1136,7 +1014,7 @@ func (s *Server) handleResident(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	t, ok := s.lookup(w, name)
+	t, ok := s.controllers.get(w, name)
 	if !ok {
 		return
 	}

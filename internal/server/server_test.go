@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +21,23 @@ import (
 )
 
 // newTestServer returns a server over httptest plus a cleanup.
+// rawDo sends one request and returns its status and body. Unlike
+// doJSON it reports failures as an error, so goroutines other than the
+// test's own can use it.
+func rawDo(method, url, body string) (int, []byte, error) {
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, data, err
+}
+
 func newTestServer(t testing.TB) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(Config{EngineConfig: engine.Config{Workers: 4, CacheSize: 128}})
@@ -499,6 +517,64 @@ func TestAdmitCapacityAndControllerLimit(t *testing.T) {
 	}
 	if out.Code != api.CodeLimitExceeded || !strings.Contains(out.Message, "limit of 2") {
 		t.Errorf("error = %+v, want limit_exceeded naming the limit", out)
+	}
+}
+
+// TestAdmitCapacityExact: the resident cap is checked under the tenant
+// lock, so concurrent admits cannot overshoot it, and every refused
+// admit answers the same 409 limit_exceeded document.
+func TestAdmitCapacityExact(t *testing.T) {
+	const maxTasks, admits = 4, 8
+	srv := New(Config{MaxTasks: maxTasks, EngineConfig: engine.Config{Workers: 2}})
+	ts := httptest.NewServer(srv)
+	defer func() { ts.Close(); srv.Close() }()
+	if resp := doJSON(t, "PUT", ts.URL+"/v1/controllers/cap", `{"columns":100,"tests":["DP"]}`, nil); resp.StatusCode != 201 {
+		t.Fatalf("create = %d", resp.StatusCode)
+	}
+	type result struct {
+		code int
+		body []byte
+		err  error
+	}
+	start := make(chan struct{})
+	results := make(chan result, admits)
+	var wg sync.WaitGroup
+	for i := 0; i < admits; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			body := fmt.Sprintf(`{"name":"t%d","c":"1","d":"100","t":"100","a":1}`, i)
+			code, data, err := rawDo("POST", ts.URL+"/v1/controllers/cap/admit", body)
+			results <- result{code, data, err}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	close(results)
+	const capDoc = `{
+  "code": "limit_exceeded",
+  "error": "controller \"cap\" is at the 4-task resident capacity",
+  "detail": {
+    "limit": "4"
+  }
+}
+`
+	admitted := 0
+	for r := range results {
+		switch {
+		case r.err != nil:
+			t.Error(r.err)
+		case r.code == 200:
+			admitted++
+		case r.code != 409 || string(r.body) != capDoc:
+			t.Errorf("refused admit = %d %s, want 409 %s", r.code, r.body, capDoc)
+		}
+	}
+	var res api.ResidentResponse
+	doJSON(t, "GET", ts.URL+"/v1/controllers/cap/resident", "", &res)
+	if res.Count > maxTasks || res.Count != admitted {
+		t.Errorf("%d concurrent admits left %d residents (%d answered 200), want at most %d", admits, res.Count, admitted, maxTasks)
 	}
 }
 

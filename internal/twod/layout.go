@@ -95,12 +95,23 @@ func (l *Layout) CanPlace(w, h int) bool {
 	return false
 }
 
-// Place allocates a w×h rectangle for id using the heuristic.
+// Place allocates a w×h rectangle for id using the heuristic: Fit,
+// then Commit.
 func (l *Layout) Place(id int64, w, h int, heur Heuristic) (Rect, bool) {
-	if w <= 0 || h <= 0 || w > l.w || h > l.h {
+	if _, dup := l.placed[id]; dup {
 		return Rect{}, false
 	}
-	if _, dup := l.placed[id]; dup {
+	r, ok := l.Fit(w, h, heur)
+	if ok {
+		l.Commit(id, r)
+	}
+	return r, ok
+}
+
+// Fit picks the rectangle a w×h placement would take under the
+// heuristic without placing it; ok is false when no free region fits.
+func (l *Layout) Fit(w, h int, heur Heuristic) (Rect, bool) {
+	if w <= 0 || h <= 0 || w > l.w || h > l.h {
 		return Rect{}, false
 	}
 	best := -1
@@ -131,10 +142,14 @@ func (l *Layout) Place(id int64, w, h int, heur Heuristic) (Rect, bool) {
 	if best < 0 {
 		return Rect{}, false
 	}
-	r := Rect{X: l.free[best].X, Y: l.free[best].Y, W: w, H: h}
+	return Rect{X: l.free[best].X, Y: l.free[best].Y, W: w, H: h}, true
+}
+
+// Commit places id at r, a rectangle Fit returned with no layout
+// change since; unlike PlaceAt it does not re-validate r.
+func (l *Layout) Commit(id int64, r Rect) {
 	l.placed[id] = r
 	l.splitFree(r)
-	return r, true
 }
 
 // PlaceAt allocates the exact rectangle for id (tests and reservations).
@@ -150,8 +165,7 @@ func (l *Layout) PlaceAt(id int64, r Rect) error {
 			return fmt.Errorf("twod: rect %v overlaps %v (id %d)", r, o, oid)
 		}
 	}
-	l.placed[id] = r
-	l.splitFree(r)
+	l.Commit(id, r)
 	return nil
 }
 
