@@ -26,7 +26,9 @@ package api
 type CacheLookupRequest struct {
 	// Columns is the device area A(H) of the analysis.
 	Columns int `json:"columns"`
-	// Test is the registered test identifier the verdict was produced by.
+	// Test names the test the verdict was produced by: its registered
+	// identifier ("any-nf") or the name its verdicts carry
+	// ("any(DP|GN1|GN2)"), which is the one fleet peers send.
 	Test string `json:"test"`
 	// Fingerprint is the canonical taskset fingerprint, lowercase hex.
 	Fingerprint string `json:"fingerprint"`

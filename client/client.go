@@ -402,59 +402,97 @@ func (c *Client) Simulate(ctx context.Context, req api.SimulateRequest) (*api.Si
 // per-line failures the server keeps the stream alive and reports a
 // StreamResult carrying an *api.Error instead.
 func (c *Client) AnalyzeStream(ctx context.Context, reqs iter.Seq[api.StreamRequest], fn func(api.StreamResult) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	pr, pw := io.Pipe()
-	go func() {
-		enc := json.NewEncoder(pw)
-		for r := range reqs {
-			if ctx.Err() != nil {
-				pw.CloseWithError(ctx.Err())
-				return
-			}
-			if err := enc.Encode(r); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
+	results := stream[api.StreamResult](ctx, c, func(ctx context.Context) (*http.Request, error) {
+		pr, pw := io.Pipe()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/analyze/stream", pr)
+		if err != nil {
+			return nil, err
 		}
-		pw.Close()
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/analyze/stream", pr)
-	if err != nil {
-		return fmt.Errorf("client: building request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return readError(resp)
-	}
-	// Cancel before draining: on an aborted stream the drain must find a
-	// dead request, not read the remaining batch to EOF (defers run LIFO,
-	// so the earlier `defer cancel()` alone would drain first).
-	defer func() {
-		cancel()
-		drain(resp)
-	}()
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var res api.StreamResult
-		if err := dec.Decode(&res); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		go func() {
+			enc := json.NewEncoder(pw)
+			for r := range reqs {
+				if ctx.Err() != nil {
+					pw.CloseWithError(ctx.Err())
+					return
+				}
+				if err := enc.Encode(r); err != nil {
+					pw.CloseWithError(err)
+					return
+				}
 			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("client: decoding stream: %w", err)
+			pw.Close()
+		}()
+		return req, nil
+	})
+	for res, err := range results {
+		if err != nil {
+			return err
 		}
 		if err := fn(res); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// stream sends the request newReq builds under a context derived from
+// ctx and yields the NDJSON values of its 200 response in order, as
+// (value, nil) or, once, (zero, err). A request that cannot be built
+// yields "client: building request"; a transport failure yields ctx's
+// error when ctx is done and the transport's otherwise; any other
+// status yields its *api.Error. EOF ends the sequence; a decode failure
+// yields ctx's error when ctx is done, else "client: decoding stream".
+// The derived context is cancelled before the body is drained, so a
+// consumer that stops early closes the stream instead of reading the
+// rest of it.
+func stream[T any](ctx context.Context, c *Client, newReq func(context.Context) (*http.Request, error)) iter.Seq2[T, error] {
+	return func(yield func(T, error) bool) {
+		var zero T
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		req, err := newReq(ctx)
+		if err != nil {
+			yield(zero, fmt.Errorf("client: building request: %w", err))
+			return
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			if ctx.Err() != nil {
+				err = ctx.Err()
+			}
+			yield(zero, err)
+			return
+		}
+		if resp.StatusCode != http.StatusOK {
+			yield(zero, readError(resp))
+			return
+		}
+		// Cancel before draining: the drain must find a dead request,
+		// not read the rest of a live stream (defers run LIFO, so the
+		// earlier `defer cancel()` alone would drain first).
+		defer func() {
+			cancel()
+			drain(resp)
+		}()
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var v T
+			if err := dec.Decode(&v); err != nil {
+				if errors.Is(err, io.EOF) {
+					return
+				}
+				if ctx.Err() != nil {
+					err = ctx.Err()
+				} else {
+					err = fmt.Errorf("client: decoding stream: %w", err)
+				}
+				yield(zero, err)
+				return
+			}
+			if !yield(v, nil) {
+				return
+			}
 		}
 	}
 }
@@ -578,45 +616,9 @@ func (c *Client) CancelExperiment(ctx context.Context, id string) (*api.Experime
 // early closes the stream. The call is never retried (a mid-stream
 // retry would replay already-seen events).
 func (c *Client) StreamExperiment(ctx context.Context, id string) iter.Seq2[api.ExperimentEvent, error] {
-	return func(yield func(api.ExperimentEvent, error) bool) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/experiments/"+url.PathEscape(id)+"/stream", nil)
-		if err != nil {
-			yield(api.ExperimentEvent{}, fmt.Errorf("client: building request: %w", err))
-			return
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				err = ctx.Err()
-			}
-			yield(api.ExperimentEvent{}, err)
-			return
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			yield(api.ExperimentEvent{}, readError(resp))
-			return
-		}
-		dec := json.NewDecoder(resp.Body)
-		for {
-			var ev api.ExperimentEvent
-			if err := dec.Decode(&ev); err != nil {
-				if errors.Is(err, io.EOF) {
-					return
-				}
-				if ctx.Err() != nil {
-					err = ctx.Err()
-				} else {
-					err = fmt.Errorf("client: decoding stream: %w", err)
-				}
-				yield(api.ExperimentEvent{}, err)
-				return
-			}
-			if !yield(ev, nil) {
-				return
-			}
-		}
-	}
+	return stream[api.ExperimentEvent](ctx, c, func(ctx context.Context) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/experiments/"+url.PathEscape(id)+"/stream", nil)
+	})
 }
 
 // RunExperiment submits a job and follows its stream to completion:

@@ -608,6 +608,37 @@ func TestExperimentErrors(t *testing.T) {
 	}
 }
 
+// TestStreamExperimentBreakCloses: a consumer that stops after the
+// first event of a long job gets control back at once — the stream is
+// closed, not read on until the job ends.
+func TestStreamExperimentBreakCloses(t *testing.T) {
+	c, _ := newEnv(t, server.Config{})
+	ctx := context.Background()
+	job, err := c.CreateExperiment(ctx, api.ExperimentRequest{Experiment: "fig3b", Samples: 10000, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _, _ = c.CancelExperiment(ctx, job.ID) }()
+	done := make(chan error, 1)
+	go func() {
+		first := errors.New("stream ended without an event")
+		for _, err := range c.StreamExperiment(ctx, job.ID) {
+			first = err
+			break
+		}
+		done <- first // only once the iterator has returned
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		_, _ = c.CancelExperiment(ctx, job.ID) // unblocks the stuck drain
+		t.Fatal("breaking out of the stream blocked until the job ended")
+	}
+}
+
 // TestCancelExperimentMidSweep is the acceptance-criterion test:
 // cancelling a running sweep returns promptly, the job lands in state
 // cancelled, and no engine pool slots are leaked (the engine drains to

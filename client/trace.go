@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"iter"
 	"net/http"
 
@@ -26,49 +24,18 @@ import (
 // completes at its bounded horizon regardless. The call is never
 // retried (a mid-stream retry would replay already-seen events).
 func (c *Client) SimulateTrace(ctx context.Context, req api.TraceRequest) iter.Seq2[api.TraceEvent, error] {
-	return func(yield func(api.TraceEvent, error) bool) {
-		body, err := json.Marshal(req)
-		if err != nil {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return func(yield func(api.TraceEvent, error) bool) {
 			yield(api.TraceEvent{}, fmt.Errorf("client: encoding request: %w", err))
-			return
-		}
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/simulate/trace", bytes.NewReader(body))
-		if err != nil {
-			yield(api.TraceEvent{}, fmt.Errorf("client: building request: %w", err))
-			return
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		resp, err := c.hc.Do(hreq)
-		if err != nil {
-			if ctx.Err() != nil {
-				err = ctx.Err()
-			}
-			yield(api.TraceEvent{}, err)
-			return
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			yield(api.TraceEvent{}, readError(resp))
-			return
-		}
-		dec := json.NewDecoder(resp.Body)
-		for {
-			var ev api.TraceEvent
-			if err := dec.Decode(&ev); err != nil {
-				if errors.Is(err, io.EOF) {
-					return
-				}
-				if ctx.Err() != nil {
-					err = ctx.Err()
-				} else {
-					err = fmt.Errorf("client: decoding stream: %w", err)
-				}
-				yield(api.TraceEvent{}, err)
-				return
-			}
-			if !yield(ev, nil) {
-				return
-			}
 		}
 	}
+	return stream[api.TraceEvent](ctx, c, func(ctx context.Context) (*http.Request, error) {
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/simulate/trace", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		hreq.Header.Set("Content-Type", "application/json")
+		return hreq, nil
+	})
 }

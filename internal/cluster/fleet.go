@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fpgasched/api"
+	"fpgasched/internal/core"
 	"fpgasched/internal/task"
 )
 
@@ -118,17 +119,20 @@ func (f *Fleet) Members() []string { return f.names }
 func (f *Fleet) Owner(fp task.Fingerprint) string { return Owner(f.names, fp) }
 
 // Fetch asks the named peer's cache for the verdict under the
-// node-invariant memoization key (test, columns, fp). It returns
-// (certificate, true) only on a confirmed cache hit; a miss, a
-// transport failure, a non-2xx response or an open breaker all return
-// (zero, false) — the caller falls back to local analysis either way,
-// so the fetch path can never make a request fail, only make it
-// faster. Outcomes land in the per-peer counters and breaker;
-// RecordRemote aggregates the node-level hit/fallback tallies.
-func (f *Fleet) Fetch(ctx context.Context, peerName string, columns int, test string, fp task.Fingerprint) (api.Verdict, bool) {
+// node-invariant memoization key (test, columns, fp). It returns the
+// canonical-order verdict rebuilt from the peer's certificate
+// (VerdictFromCertificate) and true only on a confirmed cache hit; a
+// miss, a transport failure, a non-2xx response, a certificate that
+// does not rebuild, or an open breaker all return (zero, false) — the
+// caller falls back to local analysis either way, so the fetch path
+// can never make a request fail, only make it faster. Outcomes land in
+// the per-peer counters and breaker (a malformed certificate is a
+// fetch error); RecordRemote aggregates the node-level hit/fallback
+// tallies.
+func (f *Fleet) Fetch(ctx context.Context, peerName string, columns int, test string, fp task.Fingerprint) (core.Verdict, bool) {
 	p := f.remotes[peerName]
 	if p == nil || !p.breaker.Allow() {
-		return api.Verdict{}, false
+		return core.Verdict{}, false
 	}
 	body, err := json.Marshal(api.CacheLookupRequest{
 		Columns:     columns,
@@ -136,7 +140,7 @@ func (f *Fleet) Fetch(ctx context.Context, peerName string, columns int, test st
 		Fingerprint: fp.String(),
 	})
 	if err != nil {
-		return api.Verdict{}, false
+		return core.Verdict{}, false
 	}
 	ctx, cancel := context.WithTimeout(ctx, f.timeout)
 	defer cancel()
@@ -146,43 +150,48 @@ func (f *Fleet) Fetch(ctx context.Context, peerName string, columns int, test st
 	if err != nil {
 		p.errors.Add(1)
 		p.breaker.Failure()
-		return api.Verdict{}, false
+		return core.Verdict{}, false
 	}
 	p.breaker.Success()
 	if !hit {
 		p.misses.Add(1)
-		return api.Verdict{}, false
+		return core.Verdict{}, false
 	}
 	p.hits.Add(1)
 	return verdict, true
 }
 
-// lookup performs one POST /v1/cache/lookup round trip.
-func (f *Fleet) lookup(ctx context.Context, base string, body []byte) (bool, api.Verdict, error) {
+// lookup performs one POST /v1/cache/lookup round trip and rebuilds a
+// hit's certificate into its canonical-order verdict.
+func (f *Fleet) lookup(ctx context.Context, base string, body []byte) (bool, core.Verdict, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/cache/lookup", bytes.NewReader(body))
 	if err != nil {
-		return false, api.Verdict{}, err
+		return false, core.Verdict{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := f.hc.Do(req)
 	if err != nil {
-		return false, api.Verdict{}, err
+		return false, core.Verdict{}, err
 	}
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		_ = resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return false, api.Verdict{}, fmt.Errorf("cluster: lookup status %d", resp.StatusCode)
+		return false, core.Verdict{}, fmt.Errorf("cluster: lookup status %d", resp.StatusCode)
 	}
 	var out api.CacheLookupResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return false, api.Verdict{}, err
+		return false, core.Verdict{}, err
 	}
 	if !out.Hit || out.Verdict == nil {
-		return false, api.Verdict{}, nil
+		return false, core.Verdict{}, nil
 	}
-	return true, *out.Verdict, nil
+	v, err := VerdictFromCertificate(*out.Verdict)
+	if err != nil {
+		return false, core.Verdict{}, fmt.Errorf("cluster: lookup certificate: %w", err)
+	}
+	return true, v, nil
 }
 
 // RecordLookupServed counts one /v1/cache/lookup request this node

@@ -87,7 +87,8 @@ func (t MPTest) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 	if v, ok := precheck(name, dev, s); !ok {
 		return v
 	}
-	canon, perm := canonicalOrder(s)
+	perm := s.CanonicalPerm()
+	canon := s.CanonicalFromPerm(perm)
 	for ci, tk := range canon.Tasks {
 		if tk.A != 1 {
 			return Verdict{
@@ -140,7 +141,8 @@ func (PartitionTest) Analyze(ctx context.Context, dev Device, s *task.Set) Verdi
 	if v, ok := precheck(name, dev, s); !ok {
 		return v
 	}
-	canon, perm := canonicalOrder(s)
+	perm := s.CanonicalPerm()
+	canon := s.CanonicalFromPerm(perm)
 	plan, err := partition.FirstFitDecreasing(dev.Columns, canon)
 	if err != nil {
 		out := Verdict{Test: name, Schedulable: false, Reason: err.Error(), FailingTask: -1}
@@ -172,19 +174,4 @@ func (PartitionTest) Analyze(ctx context.Context, dev Device, s *task.Set) Verdi
 	}
 	sort.Slice(out.Checks, func(i, j int) bool { return out.Checks[i].TaskIndex < out.Checks[j].TaskIndex })
 	return out
-}
-
-// canonicalOrder returns the set sorted into fingerprint order plus the
-// permutation mapping canonical position to original index. Analysing
-// the canonical copy makes order-dependent choices (the first failing
-// task, first-fit placement order among parameter-equal tasks)
-// permutation-invariant; the perm maps results back to the caller's
-// indices.
-func canonicalOrder(s *task.Set) (*task.Set, []int) {
-	perm := s.CanonicalPerm()
-	canon := &task.Set{Tasks: make([]task.Task, len(perm))}
-	for pos, orig := range perm {
-		canon.Tasks[pos] = s.Tasks[orig]
-	}
-	return canon, perm
 }

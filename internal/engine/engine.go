@@ -276,18 +276,6 @@ type source struct {
 	perm []int
 }
 
-// canonical returns the set in canonical (fingerprint) order.
-func (s source) canonical() *task.Set {
-	if s.perm == nil {
-		return s.set
-	}
-	canon := &task.Set{Tasks: make([]task.Task, len(s.perm))}
-	for pos, orig := range s.perm {
-		canon.Tasks[pos] = s.set.Tasks[orig]
-	}
-	return canon
-}
-
 // key builds the memoization key for a request, reusing the caller's
 // canonical permutation so the set is sorted only once per Analyze.
 func key(r Request, perm []int) cacheKey {
@@ -497,7 +485,10 @@ func (e *Engine) own(ctx context.Context, src source, k flightKey, c *call, upgr
 	e.countMiss(k.test)
 	// Analyze the canonically ordered copy so the cached verdict's
 	// indices mean the same thing to every permutation of this set.
-	canon := src.canonical()
+	canon := src.set
+	if src.perm != nil {
+		canon = src.set.CanonicalFromPerm(src.perm)
+	}
 	// One counter sink per analysis: harvested only on successful
 	// completion (below), so aborted sweeps contribute no screen
 	// counters, mirroring the Analyses counter.

@@ -291,11 +291,7 @@ func TestPeekCanonicalUpgradesDecision(t *testing.T) {
 	if !ok {
 		t.Fatal("lookup with evidence missed a cached decision")
 	}
-	canon := &task.Set{Tasks: make([]task.Task, len(perm))}
-	for pos, orig := range perm {
-		canon.Tasks[pos] = set.Tasks[orig]
-	}
-	want := nf.Analyze(ctx, core.NewDevice(cols), canon)
+	want := nf.Analyze(ctx, core.NewDevice(cols), set.CanonicalFromPerm(perm))
 	if g, w := certJSON(t, got), certJSON(t, want); !bytes.Equal(g, w) {
 		t.Fatalf("upgraded lookup differs from the full analysis\n got %s\nwant %s", g, w)
 	}

@@ -37,6 +37,7 @@ import (
 
 	"fpgasched/internal/core"
 	"fpgasched/internal/engine"
+	"fpgasched/internal/eventlog"
 	"fpgasched/internal/experiments"
 	"fpgasched/internal/task"
 )
@@ -235,9 +236,8 @@ func (m *Manager) Create(p Params) (*Job, error) {
 		ctx:      ctx,
 		cancelFn: cancel,
 		state:    StateQueued,
-		appended: make(chan struct{}),
 	}
-	j.events = append(j.events, Event{State: StateQueued})
+	j.log.Append(Event{State: StateQueued}, false)
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.pending = append(m.pending, j)
@@ -342,8 +342,7 @@ type Job struct {
 
 	mu       sync.Mutex
 	state    State
-	events   []Event
-	appended chan struct{} // closed and replaced on every append
+	log      eventlog.Log[Event] // appended under mu, with the state it records
 	progress *experiments.Progress
 	output   *experiments.Output
 	err      error
@@ -358,7 +357,7 @@ func (j *Job) Cancel() {
 	j.mu.Lock()
 	if j.state == StateQueued {
 		j.state = StateCancelled
-		j.appendLocked(Event{State: StateCancelled})
+		j.log.Append(Event{State: StateCancelled}, true)
 	}
 	j.mu.Unlock()
 }
@@ -377,22 +376,14 @@ func (j *Job) Status() Status {
 	}
 }
 
-// EventsSince returns the log entries from index from on, whether the
-// job has reached a terminal state (atomically consistent with the
-// returned slice: a true terminal flag means the slice extends through
-// the final event), and a channel closed at the next append. Streaming
-// consumers loop: drain, emit, then wait on next (or their own
-// context).
+// EventsSince returns the log entries from index from on (read-only),
+// whether the job has reached a terminal state (atomically consistent
+// with the returned slice: a true terminal flag means the slice extends
+// through the final event), and a channel closed at the next append.
+// Streaming consumers loop: drain, emit, then wait on next (or their
+// own context). See eventlog.Log.Since.
 func (j *Job) EventsSince(from int) (evs []Event, terminal bool, next <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from < len(j.events) {
-		evs = append(evs, j.events[from:]...)
-	}
-	return evs, j.state.Terminal(), j.appended
+	return j.log.Since(from)
 }
 
 // toRunning moves a queued job to running; false means the job was
@@ -404,7 +395,7 @@ func (j *Job) toRunning() bool {
 		return false
 	}
 	j.state = StateRunning
-	j.appendLocked(Event{State: StateRunning})
+	j.log.Append(Event{State: StateRunning}, false)
 	return true
 }
 
@@ -417,7 +408,7 @@ func (j *Job) appendProgress(p experiments.Progress) {
 	}
 	cp := p
 	j.progress = &cp
-	j.appendLocked(Event{Progress: &cp})
+	j.log.Append(Event{Progress: &cp}, false)
 }
 
 // finish records the terminal event and state in one step, so a reader
@@ -431,13 +422,5 @@ func (j *Job) finish(e Event, out *experiments.Output, err error) {
 	j.state = e.State
 	j.output = out
 	j.err = err
-	j.appendLocked(e)
-}
-
-// appendLocked appends to the event log and wakes subscribers; callers
-// hold j.mu.
-func (j *Job) appendLocked(e Event) {
-	j.events = append(j.events, e)
-	close(j.appended)
-	j.appended = make(chan struct{})
+	j.log.Append(e, true)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +97,13 @@ func analyzeOn(t testing.TB, node *fleetNode, set *task.Set) api.AnalyzeResponse
 	return out
 }
 
+// reversed returns a copy of set with its tasks in reverse order.
+func reversed(set *task.Set) *task.Set {
+	out := set.Clone()
+	slices.Reverse(out.Tasks)
+	return out
+}
+
 // TestTwoPeerDistributedCache is the tentpole's end-to-end proof: a
 // verdict analysed cold on its owner is served to a client of the other
 // node with zero new analyses anywhere, byte-identical certificate
@@ -166,10 +174,7 @@ func TestTwoPeerPermutedSetSharesVerdict(t *testing.T) {
 	owner, other := ownerOf(t, nodes, set)
 	analyzeOn(t, owner, set)
 
-	perm := set.Clone()
-	for i, j := 0, len(perm.Tasks)-1; i < j; i, j = i+1, j-1 {
-		perm.Tasks[i], perm.Tasks[j] = perm.Tasks[j], perm.Tasks[i]
-	}
+	perm := reversed(set)
 	out := analyzeOn(t, other, perm)
 	if got := other.srv.engine.Stats().Analyses; got != 0 {
 		t.Fatalf("permuted set re-analysed (%d analyses), want a remote hit", got)
@@ -185,6 +190,122 @@ func TestTwoPeerPermutedSetSharesVerdict(t *testing.T) {
 		if chk.TaskIndex != i {
 			t.Fatalf("checks not in caller order: %+v", v.Checks)
 		}
+	}
+}
+
+// TestTwoPeerWireParity byte-compares the /v1/analyze answer a
+// non-owner serves from the owner's cache with the owner's own local
+// answer: every registry test (composites included), on Table 3 and on
+// a unit-area set where the MP-* baselines and partition analyze for
+// real, explain on and off, the set as given and reversed. Each case
+// runs on a fresh fleet, so the non-owner's answer is the peer fetch.
+func TestTwoPeerWireParity(t *testing.T) {
+	unit := workload.Profile{
+		Name: "unit", N: 6, AreaMin: 1, AreaMax: 1,
+		PeriodMin: 5, PeriodMax: 20, UtilMin: 0.1, UtilMax: 0.5,
+	}.Generate(workload.Rand(11))
+	inputs := []struct {
+		name    string
+		set     *task.Set
+		columns int
+	}{
+		{"table3", workload.Table3(), 10},
+		{"unit-area", unit, 4},
+	}
+	for _, test := range core.TestNames() {
+		for _, in := range inputs {
+			for _, reverse := range []bool{false, true} {
+				for _, explain := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/reversed=%v/explain=%v", test, in.name, reverse, explain)
+					t.Run(name, func(t *testing.T) {
+						set := in.set
+						if reverse {
+							set = reversed(set)
+						}
+						nodes := newTestFleet(t, 2)
+						owner, other := ownerOf(t, nodes, set)
+						body := fmt.Sprintf(`{"columns":%d,"tests":[%q],"explain":%v,"taskset":%s}`,
+							in.columns, test, explain, setJSON(t, set))
+						want := analyzeRaw(t, owner, body)
+						got := analyzeRaw(t, other, body)
+						if n := other.srv.engine.Stats().Analyses; n != 0 {
+							t.Fatalf("non-owner ran %d analyses, want a peer hit (cluster metrics %+v)", n, other.srv.fleet.Metrics())
+						}
+						if m := other.srv.fleet.Metrics(); m.RemoteHits != 1 {
+							t.Fatalf("non-owner cluster metrics = %+v, want 1 remote hit", m)
+						}
+						if string(got) != string(want) {
+							t.Fatalf("peer-served answer differs from the owner's:\nowner: %s\npeer:  %s", want, got)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// analyzeRaw posts body to a node's /v1/analyze and returns the 200
+// response bytes.
+func analyzeRaw(t testing.TB, node *fleetNode, body string) []byte {
+	t.Helper()
+	status, data, err := rawDo("POST", node.ts.URL+"/v1/analyze", body)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("analyze on %s: status %d, err %v: %s", node.name, status, err, data)
+	}
+	return data
+}
+
+// TestPeerMalformedCertificateFallsBack: an owner that answers a hit
+// whose certificate does not parse is a failed fetch. The node falls
+// back to one local analysis and serves exactly the single-node
+// answer; the relayed certificate is neither served nor cached.
+func TestPeerMalformedCertificateFallsBack(t *testing.T) {
+	set := workload.Table3()
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"hit":true,"verdict":{"test":"GN2","schedulable":true,` +
+			`"checks":[{"task_index":0,"lhs":"garbage","rhs":"1","satisfied":true}]}}`))
+	}))
+	defer fake.Close()
+	self, peer := "a", "b"
+	if cluster.Owner([]string{self, peer}, set.Fingerprint()) == self {
+		self, peer = peer, self
+	}
+	fleet, err := cluster.New(cluster.Config{
+		Self:  self,
+		Peers: map[string]string{self: "http://unused.invalid", peer: fake.URL},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{EngineConfig: engine.Config{Workers: 2, CacheSize: 128}, Fleet: fleet})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	_, single := newTestServer(t)
+
+	body := fmt.Sprintf(`{"columns":10,"tests":["GN2"],"explain":true,"taskset":%s}`, setJSON(t, set))
+	status, got, err := rawDo("POST", ts.URL+"/v1/analyze", body)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("analyze: status %d, err %v: %s", status, err, got)
+	}
+	_, want, err := rawDo("POST", single.URL+"/v1/analyze", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("answer differs from the single-node one:\n got %s\nwant %s", got, want)
+	}
+	if n := srv.engine.Stats().Analyses; n != 1 {
+		t.Fatalf("node ran %d analyses, want exactly 1 local fallback", n)
+	}
+	m := fleet.Metrics()
+	if pm := m.Peers[peer]; pm.FetchErrors != 1 || pm.FetchHits != 0 {
+		t.Fatalf("peer counters = %+v, want the malformed hit counted as 1 fetch error", pm)
+	}
+	if m.RemoteFallbacks != 1 || m.RemoteHits != 0 {
+		t.Fatalf("cluster metrics = %+v, want 1 fallback and no remote hit", m)
 	}
 }
 
@@ -346,11 +467,7 @@ func TestCacheLookupUpgradesDecision(t *testing.T) {
 	if resp := doJSON(t, "POST", ts.URL+"/v1/cache/lookup", body, &hit); resp.StatusCode != 200 || !hit.Hit {
 		t.Fatalf("lookup = %d %+v, want hit", resp.StatusCode, hit)
 	}
-	perm := set.CanonicalPerm()
-	canon := &task.Set{Tasks: make([]task.Task, len(perm))}
-	for pos, orig := range perm {
-		canon.Tasks[pos] = set.Tasks[orig]
-	}
+	canon := set.CanonicalFromPerm(set.CanonicalPerm())
 	want, err := json.Marshal(api.VerdictFromCore(core.ForNF().Analyze(context.Background(), core.NewDevice(10), canon), true))
 	if err != nil {
 		t.Fatal(err)

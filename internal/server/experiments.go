@@ -13,7 +13,6 @@ package server
 // repeated sweeps of overlapping tasksets hit the memoized verdicts.
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -233,29 +232,5 @@ func (s *Server) handleExperimentStream(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	from := 0
-	for {
-		evs, terminal, next := j.EventsSince(from)
-		for _, e := range evs {
-			if err := enc.Encode(eventToAPI(e)); err != nil {
-				return // client gone
-			}
-		}
-		if flusher != nil && len(evs) > 0 {
-			flusher.Flush()
-		}
-		from += len(evs)
-		if terminal {
-			return
-		}
-		select {
-		case <-next:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	followNDJSON(r.Context(), w, j.EventsSince, eventToAPI)
 }

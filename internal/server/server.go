@@ -543,7 +543,7 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	// Resolve the test name so the probe keys the cache exactly as the
 	// analyze path does (and so unknown names fail loudly rather than
 	// miss forever).
-	t, err := core.TestByName(strings.TrimSpace(req.Test))
+	t, err := lookupTest(strings.TrimSpace(req.Test))
 	if err != nil {
 		writeError(w, api.Errorf(api.CodeUnknownTest, "%v", err).WithDetail("test", req.Test))
 		return
@@ -566,6 +566,23 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		resp.Verdict = &cert
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// lookupTest resolves a cache lookup's test: a registry identifier, or
+// the test's Name() — the cache key's test component, which is what
+// peers send. The two differ only for the composites ("any-nf" names
+// the test whose Name() is "any(DP|GN1|GN2)").
+func lookupTest(name string) (core.Test, error) {
+	t, err := core.TestByName(name)
+	if err == nil {
+		return t, nil
+	}
+	for _, id := range core.TestNames() {
+		if t, _ := core.TestByName(id); t.Name() == name {
+			return t, nil
+		}
+	}
+	return nil, err
 }
 
 // ---- /metrics ----
@@ -680,35 +697,32 @@ func (s *Server) analyzeSets(ctx context.Context, columns int, sets []*task.Set,
 // from the owning peer when that is someone else. It returns ok=false
 // when the request must be analysed locally — because this node owns
 // the fingerprint and has no cached verdict (the normal cold case), or
-// because the owner was unreachable, slow, breaker-open, or simply
-// missed (the degraded case; RecordRemote tallies which). The returned
-// wire verdict is byte-identical to what the local path would produce:
-// RemapCertificate mirrors engine.RemapVerdict exactly (pinned by
-// TestRemapCertificateMatchesEngine).
+// because the owner was unreachable, slow, breaker-open, answered a
+// certificate that does not rebuild, or simply missed (the degraded
+// case; RecordRemote tallies which). A peer hit is seeded into the
+// local LRU and then served exactly as a local hit — remapped by
+// engine.RemapVerdict and converted once — so the wire verdict is the
+// one the local path would produce.
 func (s *Server) clusterVerdict(ctx context.Context, r engine.Request, explain bool) (api.Verdict, bool, bool) {
 	perm := r.Set.CanonicalPerm()
 	fp := r.Set.FingerprintFromPerm(perm)
-	if v, ok := s.engine.PeekCanonical(ctx, r.Test.Name(), r.Columns, fp, explain); ok {
-		v = engine.RemapVerdict(v, perm, !explain)
-		return api.VerdictFromCore(v, explain), v.Schedulable, true
-	}
-	owner := s.fleet.Owner(fp)
-	if owner == s.fleet.Self() {
-		return api.Verdict{}, false, false
-	}
-	cert, ok := s.fleet.Fetch(ctx, owner, r.Columns, r.Test.Name(), fp)
-	s.fleet.RecordRemote(ok)
+	name := r.Test.Name()
+	v, ok := s.engine.PeekCanonical(ctx, name, r.Columns, fp, explain)
 	if !ok {
-		return api.Verdict{}, false, false
+		owner := s.fleet.Owner(fp)
+		if owner == s.fleet.Self() {
+			return api.Verdict{}, false, false
+		}
+		v, ok = s.fleet.Fetch(ctx, owner, r.Columns, name, fp)
+		s.fleet.RecordRemote(ok)
+		if !ok {
+			return api.Verdict{}, false, false
+		}
+		// Seed the local LRU so repeats of this hot set skip the network.
+		s.engine.InsertCanonical(name, r.Columns, fp, v)
 	}
-	// Seed the local LRU so repeats of this hot set skip the network;
-	// a certificate that does not reconstruct cleanly is served to this
-	// request but never cached.
-	if v, err := cluster.VerdictFromCertificate(cert); err == nil {
-		s.engine.InsertCanonical(r.Test.Name(), r.Columns, fp, v)
-	}
-	out := cluster.RemapCertificate(cert, perm, explain)
-	return out, cert.Schedulable, true
+	v = engine.RemapVerdict(v, perm, !explain)
+	return api.VerdictFromCore(v, explain), v.Schedulable, true
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {

@@ -209,3 +209,35 @@ func (s *Server) analyzeStreamLine(ctx context.Context, idx int, data []byte) ap
 	out.Result = &results[0]
 	return out
 }
+
+// followNDJSON answers 200 with a replay-then-follow event log as NDJSON:
+// every event from the first, each mapped to its wire form and flushed
+// as it lands, until the log's terminal event is written, the client
+// goes away or ctx ends. since is the log's Since (eventlog.Log); the
+// experiment and trace streams both serve through here.
+func followNDJSON[T, W any](ctx context.Context, w http.ResponseWriter, since func(from int) ([]T, bool, <-chan struct{}), wire func(T) W) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	for from := 0; ; {
+		evs, terminal, next := since(from)
+		for _, e := range evs {
+			if err := enc.Encode(wire(e)); err != nil {
+				return // client gone
+			}
+		}
+		if flusher != nil && len(evs) > 0 {
+			flusher.Flush()
+		}
+		from += len(evs)
+		if terminal {
+			return
+		}
+		select {
+		case <-next:
+		case <-ctx.Done():
+			return
+		}
+	}
+}

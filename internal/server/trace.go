@@ -8,24 +8,23 @@ package server
 // terminated by exactly one result (the /v1/simulate summary document)
 // or error event.
 //
-// The framing reuses the experiment event log's replay-then-follow
-// pattern: the simulation runs in its own goroutine appending events to
-// an in-memory log, and the handler drains the log to the client. That
-// decoupling means a slow reader never stalls the simulator (it holds a
-// simulation slot; backpressure would turn one slow client into a
-// stuck slot), and a client that disconnects mid-stream just stops
-// draining — the run completes at its bounded horizon and releases the
-// slot. Unlike analysis verdicts, trace events are NOT memoized: a
+// The framing is the experiment stream's: the simulation runs in its
+// own goroutine appending events to an eventlog.Log, and the handler
+// follows that log to the client through followNDJSON, the same loop
+// that serves GET /v1/experiments/{id}/stream. That decoupling means a
+// slow reader never stalls the simulator (it holds a simulation slot;
+// backpressure would turn one slow client into a stuck slot), and a
+// client that disconnects mid-stream just stops following — the run
+// completes at its bounded horizon and releases the slot. Unlike analysis verdicts, trace events are NOT memoized: a
 // trace is a replayable function of its request (seeded, workers
 // irrelevant — the simulator is single-threaded), so caching would
 // spend memory to save nothing but the replay itself.
 
 import (
-	"encoding/json"
 	"net/http"
-	"sync"
 
 	"fpgasched/api"
+	"fpgasched/internal/eventlog"
 	"fpgasched/internal/sim"
 	"fpgasched/internal/timeunit"
 )
@@ -37,50 +36,11 @@ import (
 // overrun terminate with a limit_exceeded error event.
 const DefaultMaxTraceEvents = 100_000
 
-// traceLog is the in-handler event log behind one trace stream: an
-// append-only event slice plus a broadcast channel that is closed and
-// replaced on every append, the same replay-then-follow contract the
-// experiment job log exposes through EventsSince.
-type traceLog struct {
-	mu       sync.Mutex
-	events   []api.TraceEvent
-	terminal bool
-	appended chan struct{}
-}
-
-func newTraceLog() *traceLog {
-	return &traceLog{appended: make(chan struct{})}
-}
-
-// append adds one event (marking the log terminal for the final result
-// or error event) and wakes the follower.
-func (l *traceLog) append(terminal bool, e api.TraceEvent) {
-	l.mu.Lock()
-	l.events = append(l.events, e)
-	if terminal {
-		l.terminal = true
-	}
-	close(l.appended)
-	l.appended = make(chan struct{})
-	l.mu.Unlock()
-}
-
-// eventsSince returns the events at index >= from, whether the log is
-// complete, and a channel that closes on the next append.
-func (l *traceLog) eventsSince(from int) ([]api.TraceEvent, bool, <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from > len(l.events) {
-		from = len(l.events)
-	}
-	return l.events[from:len(l.events):len(l.events)], l.terminal, l.appended
-}
-
 // traceRecorder adapts the log to the sim.Recorder interface. Every job
 // field is copied into its wire form inside the callback — the recorder
 // contract forbids retaining the job pointers or slices.
 type traceRecorder struct {
-	log *traceLog
+	log *eventlog.Log[api.TraceEvent]
 }
 
 func (t traceRecorder) Interval(from, to timeunit.Time, running, waiting []*sim.Job) {
@@ -91,14 +51,14 @@ func (t traceRecorder) Interval(from, to timeunit.Time, running, waiting []*sim.
 	for _, j := range waiting {
 		iv.Waiting = append(iv.Waiting, api.TraceJobFrom(j))
 	}
-	t.log.append(false, api.TraceEvent{Type: api.TraceEventInterval, Interval: iv})
+	t.log.Append(api.TraceEvent{Type: api.TraceEventInterval, Interval: iv}, false)
 }
 
 func (t traceRecorder) Miss(at timeunit.Time, job *sim.Job) {
-	t.log.append(false, api.TraceEvent{
+	t.log.Append(api.TraceEvent{
 		Type: api.TraceEventMiss,
 		Miss: &api.TraceMiss{At: at.String(), Task: job.TaskIndex, Job: job.JobIndex},
-	})
+	}, false)
 }
 
 func (s *Server) handleSimulateTrace(w http.ResponseWriter, r *http.Request) {
@@ -116,7 +76,7 @@ func (s *Server) handleSimulateTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeCancelled, "client cancelled while waiting for a simulation slot"))
 		return
 	}
-	log := newTraceLog()
+	log := new(eventlog.Log[api.TraceEvent])
 	opts.Recorder = traceRecorder{log: log}
 	opts.MaxEvents = DefaultMaxTraceEvents
 	// The run owns the slot, not the handler: a disconnected client must
@@ -127,39 +87,15 @@ func (s *Server) handleSimulateTrace(w http.ResponseWriter, r *http.Request) {
 		defer s.releaseSimSlot()
 		res, err := sim.Simulate(req.Columns, req.Taskset, pol, opts)
 		if err != nil {
-			log.append(true, api.TraceEvent{
+			log.Append(api.TraceEvent{
 				Type:  api.TraceEventError,
 				Error: api.Errorf(api.CodeLimitExceeded, "simulate: %v", err),
-			})
+			}, true)
 			return
 		}
 		resp := api.SimulateResponseFromResult(res)
-		log.append(true, api.TraceEvent{Type: api.TraceEventResult, Result: &resp})
+		log.Append(api.TraceEvent{Type: api.TraceEventResult, Result: &resp}, true)
 	}()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	from := 0
-	for {
-		evs, terminal, next := log.eventsSince(from)
-		for _, e := range evs {
-			if err := enc.Encode(e); err != nil {
-				return // client gone
-			}
-		}
-		if flusher != nil && len(evs) > 0 {
-			flusher.Flush()
-		}
-		from += len(evs)
-		if terminal {
-			return
-		}
-		select {
-		case <-next:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	followNDJSON(r.Context(), w, log.Since, func(e api.TraceEvent) api.TraceEvent { return e })
 }

@@ -41,8 +41,9 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 
 // ParamLess is the canonical name-free ordering of tasks: lexicographic
 // on the exact (C, D, T, A) tick tuples. It is the single comparator
-// behind Fingerprint, Canonical and CanonicalPerm, so the cache-key
-// ordering and every canonicalisation of a set provably agree.
+// behind Fingerprint and CanonicalPerm (and so CanonicalFromPerm), so
+// the cache-key ordering and every canonicalisation of a set provably
+// agree.
 func ParamLess(a, b Task) bool {
 	switch {
 	case a.C != b.C:
@@ -70,6 +71,20 @@ func (s *Set) CanonicalPerm() []int {
 		return ParamLess(s.Tasks[perm[a]], s.Tasks[perm[b]])
 	})
 	return perm
+}
+
+// CanonicalFromPerm returns a new set holding the receiver's tasks in
+// canonical order: task c of the result is s.Tasks[perm[c]]. perm must
+// be the receiver's CanonicalPerm. Analysing the canonical copy makes
+// order-dependent choices (the first failing task, placement order
+// among parameter-equal tasks) the same for every permutation of the
+// set; perm maps the results back to the caller's indices.
+func (s *Set) CanonicalFromPerm(perm []int) *Set {
+	canon := &Set{Tasks: make([]Task, len(perm))}
+	for c, orig := range perm {
+		canon.Tasks[c] = s.Tasks[orig]
+	}
+	return canon
 }
 
 // Fingerprint returns the canonical digest of the set. See the
