@@ -139,6 +139,14 @@ func (c *Client) backoffFor(k int) time.Duration {
 // do issues one JSON call. in (when non-nil) is marshalled once and
 // replayed on retries; out (when non-nil) receives the 2xx body. retry
 // opts the call into the configured retry policy.
+//
+// A retried DELETE answered 404 not_found is success: the earlier
+// attempt may have been delivered and its 204 lost in transit, and
+// surfacing that 404 would report a completed delete as a failure. A
+// first-attempt not_found still surfaces (nothing was there to delete),
+// as does any other 404 code, such as job_not_found. A 503
+// store_failed retries like any 5xx: the server never logged the
+// delete, so the resource still exists.
 func (c *Client) do(ctx context.Context, method, path string, in, out any, retry bool) error {
 	var body []byte
 	if in != nil {
@@ -179,47 +187,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, retry
 			lastErr = err
 			continue
 		}
-		if retryable(resp.StatusCode, nil) && attempt+1 < attempts {
-			lastErr = readError(resp)
-			continue
-		}
-		return finish(resp, out)
-	}
-	return fmt.Errorf("client: %s %s failed after %d attempts: %w", method, path, attempts, lastErr)
-}
-
-// doIdempotentDelete issues a DELETE under the configured retry policy
-// with delete semantics: a not_found answered to a RETRY attempt is
-// success, because the earlier attempt may have been delivered and its
-// 204 lost in transit — surfacing that 404 would report a completed
-// delete as a failure. A first-attempt 404 still surfaces (nothing was
-// there to delete), and a 503 store_failed retries like any 5xx: the
-// server rolled the delete back, so the resource genuinely still
-// exists.
-func (c *Client) doIdempotentDelete(ctx context.Context, path string) error {
-	attempts := 1 + c.retries
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(c.backoffFor(attempt)):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+path, nil)
-		if err != nil {
-			return fmt.Errorf("client: building request: %w", err)
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			lastErr = err
-			continue
-		}
-		if attempt > 0 && resp.StatusCode == http.StatusNotFound {
+		if attempt > 0 && method == http.MethodDelete && resp.StatusCode == http.StatusNotFound {
 			if e := readError(resp); e.Code != api.CodeNotFound {
 				return e
 			}
@@ -229,9 +197,9 @@ func (c *Client) doIdempotentDelete(ctx context.Context, path string) error {
 			lastErr = readError(resp)
 			continue
 		}
-		return finish(resp, nil)
+		return finish(resp, out)
 	}
-	return fmt.Errorf("client: DELETE %s failed after %d attempts: %w", path, attempts, lastErr)
+	return fmt.Errorf("client: %s %s failed after %d attempts: %w", method, path, attempts, lastErr)
 }
 
 // finish consumes a response: decode out on 2xx, a typed error
@@ -514,7 +482,7 @@ func (c *Client) CreateController(ctx context.Context, name string, req api.Cont
 // earlier delivery succeeded and is reported as success, so a delete
 // whose 204 was lost in transit does not surface a spurious failure.
 func (c *Client) DeleteController(ctx context.Context, name string) error {
-	return c.doIdempotentDelete(ctx, "/v1/controllers/"+url.PathEscape(name))
+	return c.do(ctx, http.MethodDelete, "/v1/controllers/"+url.PathEscape(name), nil, nil, true)
 }
 
 // Controllers lists the admission controllers (GET /v1/controllers).
@@ -543,8 +511,8 @@ func (c *Client) Admit(ctx context.Context, controller string, t api.Task) (*api
 // semantics (see DeleteController): a retry answered not_found reports
 // success.
 func (c *Client) Release(ctx context.Context, controller, taskName string) error {
-	return c.doIdempotentDelete(ctx,
-		"/v1/controllers/"+url.PathEscape(controller)+"/tasks/"+url.PathEscape(taskName))
+	return c.do(ctx, http.MethodDelete,
+		"/v1/controllers/"+url.PathEscape(controller)+"/tasks/"+url.PathEscape(taskName), nil, nil, true)
 }
 
 // Resident snapshots a controller's resident set

@@ -38,7 +38,7 @@ func (c *Client) CreatePlacementController(ctx context.Context, name string, req
 // semantics (see DeleteController): a retry answered not_found reports
 // success.
 func (c *Client) DeletePlacementController(ctx context.Context, name string) error {
-	return c.doIdempotentDelete(ctx, "/v1/placement/controllers/"+url.PathEscape(name))
+	return c.do(ctx, http.MethodDelete, "/v1/placement/controllers/"+url.PathEscape(name), nil, nil, true)
 }
 
 // PlacementControllers lists the placement controllers
@@ -69,8 +69,8 @@ func (c *Client) PlacementAdmit(ctx context.Context, controller string, t api.Ta
 // delete semantics (see DeleteController): a retry answered not_found
 // reports success.
 func (c *Client) PlacementRelease(ctx context.Context, controller, taskName string) error {
-	return c.doIdempotentDelete(ctx,
-		"/v1/placement/controllers/"+url.PathEscape(controller)+"/tasks/"+url.PathEscape(taskName))
+	return c.do(ctx, http.MethodDelete,
+		"/v1/placement/controllers/"+url.PathEscape(controller)+"/tasks/"+url.PathEscape(taskName), nil, nil, true)
 }
 
 // PlacementResident snapshots a placement controller's placed set

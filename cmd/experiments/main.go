@@ -44,7 +44,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	samples := fs.Int("samples", 500, "tasksets per utilization bin")
 	seed := fs.Uint64("seed", 1, "base RNG seed")
-	workers := fs.Int("workers", 0, "worker goroutines (0: GOMAXPROCS locally, server default remotely)")
+	workers := fs.Int("workers", 0, "sample worker goroutines for every sampled experiment; never changes results (0: GOMAXPROCS locally, server default remotely)")
 	outDir := fs.String("out", "", "directory for CSV output (created if missing)")
 	plot := fs.Bool("plot", false, "print ASCII plots for figures")
 	horizon := fs.Int64("sim-horizon", 200, "simulation horizon cap in time units")

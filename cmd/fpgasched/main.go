@@ -88,31 +88,11 @@ func run(args []string) int {
 		return 2
 	}
 	dev := core.NewDevice(*columns)
-	allAccept := true
-	for _, t := range tests {
-		v := t.Analyze(context.Background(), dev, s)
-		fmt.Println(" ", v.String())
-		if *verbose {
-			for _, c := range v.Checks {
-				status := "ok"
-				if !c.Satisfied {
-					status = "FAIL"
-				}
-				extra := ""
-				if c.Lambda != nil {
-					extra = fmt.Sprintf(" λ=%s cond=%d", c.Lambda.FloatString(4), c.Condition)
-				}
-				fmt.Printf("    task %d: LHS=%s RHS=%s %s%s\n",
-					c.TaskIndex, c.LHS.FloatString(4), c.RHS.FloatString(4), status, extra)
-			}
-		}
-		if *explain {
-			printCertificate(v.Certificate())
-		}
-		if !v.Schedulable {
-			allAccept = false
-		}
+	verdicts := make([]api.Verdict, len(tests))
+	for i, t := range tests {
+		verdicts[i] = t.Analyze(context.Background(), dev, s).Certificate()
 	}
+	allAccept := printVerdicts(verdicts, *verbose, *explain)
 
 	if *simulate {
 		var pol sim.Policy
@@ -134,13 +114,7 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stderr, "fpgasched: simulation: %v\n", err)
 			return 2
 		}
-		if res.Missed {
-			fmt.Printf("  %s simulation (horizon %v): MISS at %v (task %d job %d)\n",
-				res.Policy, res.Horizon, res.FirstMissTime, res.FirstMissTask, res.FirstMissJob)
-		} else {
-			fmt.Printf("  %s simulation (horizon %v): no deadline miss (%d jobs, %d preemptions)\n",
-				res.Policy, res.Horizon, res.Completed, res.Preemptions)
-		}
+		printSimulation(api.SimulateResponseFromResult(res))
 	}
 
 	if allAccept {
@@ -183,8 +157,36 @@ func runRemote(base string, columns int, s *task.Set, testsArg, scheduler string
 		fmt.Fprintf(os.Stderr, "fpgasched: remote analyze: %v\n", err)
 		return 2
 	}
+	allAccept := printVerdicts(resp.Result.Verdicts, verbose, explain)
+
+	if simulate {
+		req := api.SimulateRequest{Columns: columns, Scheduler: strings.ToLower(scheduler), Taskset: s}
+		if horizon > 0 {
+			req.Horizon = strconv.FormatInt(horizon, 10)
+		}
+		res, err := c.Simulate(ctx, req)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fpgasched: remote simulation: %v\n", err)
+			return 2
+		}
+		printSimulation(*res)
+	}
+
+	if allAccept {
+		return 0
+	}
+	return 1
+}
+
+// printVerdicts prints one line per verdict, its per-task bounds when
+// verbose and its certificate when explain, and reports whether every
+// verdict accepts. Local verdicts are converted via
+// core.Verdict.Certificate and remote ones arrive as api.Verdict — the
+// same type — so both paths print through here and their output is
+// identical for identical analyses.
+func printVerdicts(verdicts []api.Verdict, verbose, explain bool) bool {
 	allAccept := true
-	for _, v := range resp.Result.Verdicts {
+	for _, v := range verdicts {
 		fmt.Println(" ", v.String())
 		if verbose {
 			for _, chk := range v.Checks {
@@ -207,44 +209,30 @@ func runRemote(base string, columns int, s *task.Set, testsArg, scheduler string
 			allAccept = false
 		}
 	}
+	return allAccept
+}
 
-	if simulate {
-		req := api.SimulateRequest{Columns: columns, Scheduler: strings.ToLower(scheduler), Taskset: s}
-		if horizon > 0 {
-			req.Horizon = strconv.FormatInt(horizon, 10)
-		}
-		res, err := c.Simulate(ctx, req)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fpgasched: remote simulation: %v\n", err)
-			return 2
-		}
-		if res.Missed {
-			missTask, missJob := -1, -1
-			if res.FirstMissTask != nil {
-				missTask = *res.FirstMissTask
-			}
-			if res.FirstMissJob != nil {
-				missJob = *res.FirstMissJob
-			}
-			fmt.Printf("  %s simulation (horizon %s): MISS at %s (task %d job %d)\n",
-				res.Policy, res.Horizon, res.FirstMissTime, missTask, missJob)
-		} else {
-			fmt.Printf("  %s simulation (horizon %s): no deadline miss (%d jobs, %d preemptions)\n",
-				res.Policy, res.Horizon, res.Completed, res.Preemptions)
-		}
+// printSimulation prints a simulation summary in its wire form (local
+// results are converted via api.SimulateResponseFromResult).
+func printSimulation(res api.SimulateResponse) {
+	if !res.Missed {
+		fmt.Printf("  %s simulation (horizon %s): no deadline miss (%d jobs, %d preemptions)\n",
+			res.Policy, res.Horizon, res.Completed, res.Preemptions)
+		return
 	}
-
-	if allAccept {
-		return 0
+	missTask, missJob := -1, -1
+	if res.FirstMissTask != nil {
+		missTask = *res.FirstMissTask
 	}
-	return 1
+	if res.FirstMissJob != nil {
+		missJob = *res.FirstMissJob
+	}
+	fmt.Printf("  %s simulation (horizon %s): MISS at %s (task %d job %d)\n",
+		res.Policy, res.Horizon, res.FirstMissTime, missTask, missJob)
 }
 
 // printCertificate renders a verdict's machine-readable certificate as
-// indented JSON. Local verdicts are converted via core.Verdict.
-// Certificate and remote verdicts arrive as api.Verdict — the same
-// type — so the two paths print byte-identical proofs for identical
-// analyses.
+// indented JSON.
 func printCertificate(cert api.Verdict) {
 	data, err := json.MarshalIndent(cert, "    ", "  ")
 	if err != nil {
@@ -264,7 +252,7 @@ func printTestRegistry(w io.Writer) {
 }
 
 // ratString renders an exact fraction string ("63/10") as a 4-decimal
-// value, matching the local verbose output.
+// value.
 func ratString(s string) string {
 	r, ok := new(big.Rat).SetString(s)
 	if !ok {

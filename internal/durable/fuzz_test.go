@@ -38,7 +38,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		recs, valid, err := decodeFrames(body, DefaultMaxRecordBytes)
+		recs, valid, err := decodeFrames(body)
 		if valid > len(body) || valid < 0 {
 			t.Fatalf("valid prefix %d outside body of %d bytes", valid, len(body))
 		}
@@ -48,7 +48,7 @@ func FuzzWALDecode(f *testing.F) {
 		// Decoding the accepted prefix alone must reproduce exactly the
 		// same records with nothing left over: what was accepted is a
 		// deterministic function of the bytes, not of the damage after.
-		recs2, valid2, err2 := decodeFrames(body[:valid], DefaultMaxRecordBytes)
+		recs2, valid2, err2 := decodeFrames(body[:valid])
 		if err2 != nil || valid2 != valid || len(recs2) != len(recs) {
 			t.Fatalf("valid prefix does not re-decode to itself: %d recs/%d bytes/%v, want %d/%d/nil",
 				len(recs2), valid2, err2, len(recs), valid)

@@ -62,9 +62,6 @@ type Options struct {
 	// SnapshotBytes is the WAL size that triggers compaction; 0 means
 	// DefaultSnapshotBytes, negative disables compaction.
 	SnapshotBytes int64
-	// MaxRecordBytes caps one record's framed payload on both sides;
-	// 0 means DefaultMaxRecordBytes.
-	MaxRecordBytes int
 }
 
 // Metrics is a point-in-time snapshot of the store's counters (the
@@ -137,9 +134,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.SnapshotBytes == 0 {
 		opts.SnapshotBytes = DefaultSnapshotBytes
 	}
-	if opts.MaxRecordBytes <= 0 {
-		opts.MaxRecordBytes = DefaultMaxRecordBytes
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: creating state dir: %w", err)
 	}
@@ -189,7 +183,7 @@ func Open(opts Options) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("durable: wal: bad magic (not a %s log file)", walMagic)
 	default:
-		recs, valid, derr := decodeFrames(data[magicLen:], opts.MaxRecordBytes)
+		recs, valid, derr := decodeFrames(data[magicLen:])
 		if derr != nil {
 			f.Close()
 			return nil, derr
@@ -245,12 +239,14 @@ func (s *Store) State() *Snapshot {
 	return s.state
 }
 
-// Append assigns r the next sequence number and logs it. On the first
-// disk failure the store latches degraded: the failed mutation and
-// every later one returns the latched error, so the server can roll
-// back and refuse further writes (the log on disk never claims a
-// mutation the server did not acknowledge, and vice versa only within
-// the fsync policy's loss window).
+// Append assigns r the next sequence number and logs it. A nil return
+// means the record is logged: it replays on recovery, within the fsync
+// policy's loss window. On the first disk failure the store latches
+// degraded and every later append returns the latched error. A failed
+// write or sync fails this append too, so the caller does not apply
+// the mutation; a failed compaction after the record is logged does
+// not — the record replays, so refusing it would let an unacknowledged
+// mutation come back on restart — and only the next append fails.
 func (s *Store) Append(r Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,8 +258,8 @@ func (s *Store) Append(r Record) error {
 	if err != nil {
 		return err // encoding says nothing about the disk: not latched
 	}
-	if len(buf)-frameHeaderLen > s.opts.MaxRecordBytes {
-		return fmt.Errorf("durable: record of %d bytes exceeds the %d-byte cap", len(buf)-frameHeaderLen, s.opts.MaxRecordBytes)
+	if len(buf)-frameHeaderLen > DefaultMaxRecordBytes {
+		return fmt.Errorf("durable: record of %d bytes exceeds the %d-byte cap", len(buf)-frameHeaderLen, DefaultMaxRecordBytes)
 	}
 	if _, err := s.f.Write(buf); err != nil {
 		return s.fail(fmt.Errorf("durable: appending record: %w", err))
@@ -283,10 +279,9 @@ func (s *Store) Append(r Record) error {
 	s.walBytes += int64(len(buf))
 	if s.opts.SnapshotBytes > 0 && s.walBytes >= s.opts.SnapshotBytes {
 		if err := s.compactLocked(); err != nil {
-			// The record itself is safely logged; a failed compaction
-			// only means the log keeps growing. Still latch: the disk is
-			// misbehaving and the next append would likely fail anyway.
-			return s.fail(err)
+			// The record is logged; latch so that the next append
+			// fails: the disk is misbehaving.
+			s.fail(err)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -239,6 +240,50 @@ func TestAppendFailureLatchesDegraded(t *testing.T) {
 	if err := s.Append(Record{Op: OpRelease, Controller: "x", TaskName: "a"}); err == nil {
 		t.Fatal("degraded store accepted an append")
 	}
+}
+
+// TestCompactionFailureAcknowledgesLoggedRecord blocks every compaction
+// (a directory squats on the snapshot's temporary file): the append
+// that crosses the threshold is logged before compaction runs, so it
+// must succeed — it replays on recovery — while the store latches
+// degraded and refuses the next append. Recovery yields exactly the
+// acknowledged records.
+func TestCompactionFailureAcknowledgesLoggedRecord(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, snapTmpFileName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Dir: dir, Fsync: FsyncAlways, SnapshotBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, s, Record{Op: OpCreateController, Controller: "x", Columns: 10, Tests: []string{"GN2"}})
+	var acked []task.Task
+	for i := 0; !s.Metrics().Degraded; i++ {
+		if i == 100 {
+			t.Fatal("no compaction was attempted")
+		}
+		a := tk(fmt.Sprintf("t%d", i), 1, 8, 8, 1)
+		if err := s.Append(Record{Op: OpAdmit, Controller: "x", Task: &a}); err != nil {
+			t.Fatalf("append %d: %v (a logged record must be acknowledged)", i, err)
+		}
+		acked = append(acked, a)
+	}
+	last := tk("late", 1, 8, 8, 1)
+	err = s.Append(Record{Op: OpAdmit, Controller: "x", Task: &last})
+	if m := s.Metrics(); err == nil || err.Error() != m.LastError {
+		t.Fatalf("append after a failed compaction returned %v, want the latched %q", err, m.LastError)
+	}
+	s.Close()
+	s2, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotBytes: -1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	sameState(t, s2.State(), &Snapshot{
+		LastSeq:     uint64(1 + len(acked)),
+		Controllers: []ControllerState{{Name: "x", Columns: 10, Tests: []string{"GN2"}, Tasks: acked}},
+	})
 }
 
 func TestFsyncPoliciesCount(t *testing.T) {

@@ -64,10 +64,7 @@ func encodeRecord(r Record) ([]byte, error) {
 // record whose sequence does not increase, is different: the disk did
 // not tear, the log is wrong. That returns an error so recovery fails
 // loudly instead of resuming from silently wrong state.
-func decodeFrames(data []byte, maxRecord int) (recs []Record, valid int, err error) {
-	if maxRecord <= 0 {
-		maxRecord = DefaultMaxRecordBytes
-	}
+func decodeFrames(data []byte) (recs []Record, valid int, err error) {
 	var lastSeq uint64
 	off := 0
 	for {
@@ -76,7 +73,7 @@ func decodeFrames(data []byte, maxRecord int) (recs []Record, valid int, err err
 		}
 		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
 		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n > maxRecord || len(data)-off-frameHeaderLen < n {
+		if n > DefaultMaxRecordBytes || len(data)-off-frameHeaderLen < n {
 			return recs, off, nil // corrupt length or torn payload
 		}
 		payload := data[off+frameHeaderLen : off+frameHeaderLen+n]

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -532,5 +534,66 @@ func TestTableExperimentCancelled(t *testing.T) {
 	def, _ := Lookup("table1")
 	if _, err := def.Run(ctx, quickOpts()); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled table run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestExperimentsIndependentOfWorkers runs every registered experiment
+// serially and on four workers: the tallies are integer sums over
+// per-sample seeds, so the outputs must be identical.
+func TestExperimentsIndependentOfWorkers(t *testing.T) {
+	run := func(def Definition, workers int) *Output {
+		out, err := def.Run(context.Background(), RunOptions{Samples: 3, Seed: 13, Workers: workers, SimHorizonCap: timeunit.FromUnits(40)})
+		if err != nil {
+			t.Fatalf("%s with %d workers: %v", def.ID, workers, err)
+		}
+		// Empty raw-mode bins read NaN, which DeepEqual never equates.
+		if out.Table != nil {
+			for _, col := range out.Table.Columns {
+				for i, y := range col.Y {
+					if math.IsNaN(y) {
+						col.Y[i] = math.Inf(-1)
+					}
+				}
+			}
+		}
+		return out
+	}
+	for _, def := range Registry() {
+		if serial, parallel := run(def, 1), run(def, 4); !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%s: output differs between 1 and 4 workers:\n%+v\n%+v", def.ID, serial, parallel)
+		}
+	}
+}
+
+// TestAblationPartitionAnalyzesConcurrently holds every analysis until
+// a second one is in flight: an ablation that ignored Workers would
+// never get there, and the held analysis would fail.
+func TestAblationPartitionAnalyzesConcurrently(t *testing.T) {
+	var calls atomic.Int32
+	both := make(chan struct{})
+	opts := RunOptions{Samples: 2, Seed: 8, Workers: 2, SimHorizonCap: timeunit.FromUnits(40)}
+	def, _ := Lookup("ablation-partition")
+	direct, err := def.Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Analyze = func(ctx context.Context, columns int, s *task.Set, tst core.Test) (core.Verdict, error) {
+		if calls.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(10 * time.Second):
+			return core.Verdict{}, errors.New("no second analysis ran concurrently")
+		}
+		v := tst.Analyze(ctx, core.NewDevice(columns), s)
+		return v, v.Err
+	}
+	hooked, err := def.Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hooked.Markdown != direct.Markdown {
+		t.Errorf("hooked run differs from direct run:\n%s\n%s", hooked.Markdown, direct.Markdown)
 	}
 }

@@ -29,6 +29,9 @@ var simFkF = PolicyFactory{
 	New:  func(*task.Set, int) (sim.Policy, error) { return sched.FirstKFit{}, nil },
 }
 
+// paperSims are the simulation series of the paper's figures.
+var paperSims = []PolicyFactory{simNF, simFkF}
+
 // paperTests are the three tests the paper compares, in its order.
 func paperTests() []core.Test {
 	return []core.Test{core.DPTest{}, core.GN1Test{}, core.GN2Test{}}
@@ -40,12 +43,12 @@ func Registry() []Definition {
 		{ID: "table1", Title: "Taskset accepted by DP, rejected by GN1 and GN2 (paper Table 1)", Run: tableExperiment("table1", workload.Table1)},
 		{ID: "table2", Title: "Taskset accepted by GN1, rejected by DP and GN2 (paper Table 2)", Run: tableExperiment("table2", workload.Table2)},
 		{ID: "table3", Title: "Taskset accepted by GN2, rejected by DP and GN1 (paper Table 3)", Run: tableExperiment("table3", workload.Table3)},
-		{ID: "fig3a", Title: "Acceptance ratio vs US: 4 tasks, unconstrained (paper Fig. 3a)", Run: figureExperiment("fig3a", workload.Unconstrained(4), false)},
-		{ID: "fig3b", Title: "Acceptance ratio vs US: 10 tasks, unconstrained (paper Fig. 3b)", Run: figureExperiment("fig3b", workload.Unconstrained(10), false)},
-		{ID: "fig4a", Title: "Acceptance ratio vs US: 10 spatially heavy, temporally light tasks (paper Fig. 4a)", Run: figureExperiment("fig4a", workload.SpatiallyHeavyTemporallyLight(10), true)},
-		{ID: "fig4b", Title: "Acceptance ratio vs US: 10 spatially light, temporally heavy tasks (paper Fig. 4b)", Run: figureExperiment("fig4b", workload.SpatiallyLightTemporallyHeavy(10), true)},
-		{ID: "ablation-alpha", Title: "Integer-area α correction: DP vs Danne/Platzner real-valued bound (Lemma 1)", Run: ablationAlpha},
-		{ID: "ablation-gn1norm", Title: "GN1 normalisation: paper's Wi/Di vs BCL-consistent Wi/Dk (item T2-NORM)", Run: ablationGN1Norm},
+		{ID: "fig3a", Title: "Acceptance ratio vs US: 4 tasks, unconstrained (paper Fig. 3a)", Run: sweepExperiment("fig3a", workload.Unconstrained(4), paperTests(), paperSims, false)},
+		{ID: "fig3b", Title: "Acceptance ratio vs US: 10 tasks, unconstrained (paper Fig. 3b)", Run: sweepExperiment("fig3b", workload.Unconstrained(10), paperTests(), paperSims, false)},
+		{ID: "fig4a", Title: "Acceptance ratio vs US: 10 spatially heavy, temporally light tasks (paper Fig. 4a)", Run: sweepExperiment("fig4a", workload.SpatiallyHeavyTemporallyLight(10), paperTests(), paperSims, true)},
+		{ID: "fig4b", Title: "Acceptance ratio vs US: 10 spatially light, temporally heavy tasks (paper Fig. 4b)", Run: sweepExperiment("fig4b", workload.SpatiallyLightTemporallyHeavy(10), paperTests(), paperSims, true)},
+		{ID: "ablation-alpha", Title: "Integer-area α correction: DP vs Danne/Platzner real-valued bound (Lemma 1)", Run: sweepExperiment("ablation-alpha", workload.Unconstrained(10), []core.Test{core.DPTest{}, core.DPTest{RealValuedAlpha: true}}, nil, false)},
+		{ID: "ablation-gn1norm", Title: "GN1 normalisation: paper's Wi/Di vs BCL-consistent Wi/Dk (item T2-NORM)", Run: sweepExperiment("ablation-gn1norm", workload.Unconstrained(10), []core.Test{core.GN1Test{}, core.GN1Test{Variant: core.GN1VariantBCL}}, nil, false)},
 		{ID: "ablation-nf", Title: "EDF-NF dominates EDF-FkF: simulated miss comparison (Danne's dominance result)", Run: ablationNFDominance},
 		{ID: "ablation-overhead", Title: "Reconfiguration overhead sensitivity (relaxing Section 1 assumption 3)", Run: ablationOverhead},
 		{ID: "ablation-frag", Title: "Cost of unrestricted migration: capacity model vs pinned contiguous placement (Section 7)", Run: ablationFragmentation},
@@ -53,8 +56,8 @@ func Registry() []Definition {
 		{ID: "ablation-ushybrid", Title: "EDF-US[ξ] system-utilization hybrid vs plain EDF-NF on temporally heavy sets (Section 7)", Run: ablationUSHybrid},
 		{ID: "ablation-2d", Title: "2-D reconfiguration: area capacity vs rectangle placement heuristics (Section 7)", Run: ablation2D},
 		{ID: "ablation-reserved", Title: "Pre-configured (reserved) columns: capacity loss vs fabric splitting (Section 1 assumption 2)", Run: ablationReserved},
-		{ID: "profile-bursty", Title: "Acceptance ratio vs US: 10 bursty tasks (short periods, high utilization; serving-path stress)", Run: profileExperiment("profile-bursty", workload.Bursty(10))},
-		{ID: "profile-hetero", Title: "Acceptance ratio vs US: 10 heterogeneous tasks (bimodal light/heavy mix)", Run: profileExperiment("profile-hetero", workload.Heterogeneous(10))},
+		{ID: "profile-bursty", Title: "Acceptance ratio vs US: 10 bursty tasks (short periods, high utilization; serving-path stress)", Run: sweepExperiment("profile-bursty", workload.Bursty(10), append(paperTests(), core.PartitionTest{}), paperSims, true)},
+		{ID: "profile-hetero", Title: "Acceptance ratio vs US: 10 heterogeneous tasks (bimodal light/heavy mix)", Run: sweepExperiment("profile-hetero", workload.Heterogeneous(10), append(paperTests(), core.PartitionTest{}), paperSims, true)},
 	}
 	sort.Slice(defs, func(i, j int) bool { return defs[i].ID < defs[j].ID })
 	return defs
@@ -68,25 +71,6 @@ func Lookup(id string) (Definition, bool) {
 		}
 	}
 	return Definition{}, false
-}
-
-// sweepFor builds the SweepConfig plumbing (seeds, workers, progress,
-// analyze hook) shared by every sweep-shaped experiment.
-func (o RunOptions) sweep(name string, columns int, profile workload.Profile, tests []core.Test, policies []PolicyFactory, raw bool) SweepConfig {
-	return SweepConfig{
-		Name:          name,
-		Columns:       columns,
-		Profile:       profile,
-		SamplesPerBin: o.Samples,
-		Tests:         tests,
-		Policies:      policies,
-		Seed:          o.Seed,
-		SimHorizonCap: o.SimHorizonCap,
-		Workers:       o.Workers,
-		Raw:           raw,
-		OnProgress:    o.OnProgress,
-		Analyze:       o.Analyze,
-	}
 }
 
 // tableExperiment reproduces one of the paper's verdict tables: the
@@ -104,7 +88,7 @@ func tableExperiment(id string, fixture func() *task.Set) func(context.Context, 
 		b.WriteString(m.Markdown())
 		b.WriteString("\nTaskset:\n\n```\n" + s.String() + "\n```\n")
 		var notes []string
-		for _, pf := range []PolicyFactory{simNF, simFkF} {
+		for _, pf := range paperSims {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -126,79 +110,50 @@ func tableExperiment(id string, fixture func() *task.Set) func(context.Context, 
 	}
 }
 
-// figureExperiment builds the standard figure sweep: DP, GN1, GN2 and
-// both simulation series over US bins on the 100-column device.
+// sweepExperiment runs one acceptance-ratio sweep of tests and
+// policies over US bins on the 100-column device.
 //
-// The Figure 3 profiles are unconstrained, so stratified generation
-// (rescaling C to hit each bin's target US) produces draws that are
-// still within the profile, and every bin gets a full population. The
-// Figure 4 profiles constrain the execution factor — rescaling would
-// silently destroy the "temporally heavy/light" property the figure is
-// about — so those use raw sampling, binning each draw by its achieved
-// US (bins outside the profile's natural US range stay empty, as in the
-// paper's plots).
-func figureExperiment(id string, profile workload.Profile, raw bool) func(context.Context, RunOptions) (*Output, error) {
+// Unconstrained profiles use stratified generation: rescaling C to hit
+// each bin's target US produces draws that are still within the
+// profile, and every bin gets a full population. Profiles that constrain
+// the execution factor (Figure 4's temporally heavy/light sets, the
+// bursty and heterogeneous mixes) use raw sampling instead — rescaling
+// would silently destroy the very property the profile encodes — and
+// bin each draw by its achieved US (bins outside the profile's natural
+// US range stay empty, as in the paper's plots).
+func sweepExperiment(id string, profile workload.Profile, tests []core.Test, policies []PolicyFactory, raw bool) func(context.Context, RunOptions) (*Output, error) {
 	return func(ctx context.Context, opts RunOptions) (*Output, error) {
 		opts = opts.WithDefaults()
-		res, err := opts.sweep(id, workload.FigureDeviceColumns, profile, paperTests(), []PolicyFactory{simNF, simFkF}, raw).Run(ctx)
+		res, err := SweepConfig{
+			Name:          id,
+			Columns:       workload.FigureDeviceColumns,
+			Profile:       profile,
+			SamplesPerBin: opts.Samples,
+			Tests:         tests,
+			Policies:      policies,
+			Seed:          opts.Seed,
+			SimHorizonCap: opts.SimHorizonCap,
+			Workers:       opts.Workers,
+			Raw:           raw,
+			OnProgress:    opts.OnProgress,
+			Analyze:       opts.Analyze,
+		}.Run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &Output{
-			ID:       id,
-			Table:    res.Table,
-			Markdown: res.Table.Markdown(),
-			Counts:   res.Counts,
-		}, nil
+		return &Output{ID: id, Table: res.Table, Markdown: res.Table.Markdown(), Counts: res.Counts}, nil
 	}
 }
 
-// profileExperiment builds the figure-style sweep for the post-paper
-// workload profiles (bursty, heterogeneous), adding the partitioned
-// FFD+EDF test next to the paper's three. Both profiles constrain the
-// execution-factor distribution (that is their whole point), so they
-// use raw sampling: rescaling C to hit a bin target would destroy the
-// very property the profile encodes, exactly as with the Figure 4
-// profiles.
-func profileExperiment(id string, profile workload.Profile) func(context.Context, RunOptions) (*Output, error) {
-	return func(ctx context.Context, opts RunOptions) (*Output, error) {
-		opts = opts.WithDefaults()
-		tests := append(paperTests(), core.PartitionTest{})
-		res, err := opts.sweep(id, workload.FigureDeviceColumns, profile, tests, []PolicyFactory{simNF, simFkF}, true).Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{
-			ID:       id,
-			Table:    res.Table,
-			Markdown: res.Table.Markdown(),
-			Counts:   res.Counts,
-		}, nil
-	}
-}
-
-// ablationAlpha compares the paper's integer-area DP bound against the
-// original real-valued-α bound on the Figure 3(b) workload.
-func ablationAlpha(ctx context.Context, opts RunOptions) (*Output, error) {
-	opts = opts.WithDefaults()
-	res, err := opts.sweep("ablation-alpha", workload.FigureDeviceColumns, workload.Unconstrained(10),
-		[]core.Test{core.DPTest{}, core.DPTest{RealValuedAlpha: true}}, nil, false).Run(ctx)
+// simulateNF reports whether EDF-NF meets every deadline of s on the
+// 100-column device under o (HorizonCap is taken from opts).
+func simulateNF(s *task.Set, opts RunOptions, o sim.Options) (bool, error) {
+	o.HorizonCap = opts.SimHorizonCap
+	res, err := sim.Simulate(workload.FigureDeviceColumns, s, sched.NextFit{}, o)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	return &Output{ID: "ablation-alpha", Table: res.Table, Markdown: res.Table.Markdown(), Counts: res.Counts}, nil
-}
-
-// ablationGN1Norm compares GN1's published Wi/Di normalisation against
-// the BCL-consistent Wi/Dk on both Figure 3 workloads merged.
-func ablationGN1Norm(ctx context.Context, opts RunOptions) (*Output, error) {
-	opts = opts.WithDefaults()
-	res, err := opts.sweep("ablation-gn1norm", workload.FigureDeviceColumns, workload.Unconstrained(10),
-		[]core.Test{core.GN1Test{}, core.GN1Test{Variant: core.GN1VariantBCL}}, nil, false).Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Output{ID: "ablation-gn1norm", Table: res.Table, Markdown: res.Table.Markdown(), Counts: res.Counts}, nil
+	return !res.Missed, nil
 }
 
 // ablationNFDominance simulates random tasksets under both schedulers
@@ -208,34 +163,27 @@ func ablationGN1Norm(ctx context.Context, opts RunOptions) (*Output, error) {
 func ablationNFDominance(ctx context.Context, opts RunOptions) (*Output, error) {
 	opts = opts.WithDefaults()
 	profile := workload.Unconstrained(8)
-	var bothMeet, nfOnly, fkfOnly, bothMiss int
-	trials := opts.Samples * 4
-	meter := newProgressMeter(opts.OnProgress, 4, opts.Samples)
-	for i := 0; i < trials; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := workload.Rand(opts.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15)
-		s, _ := profile.GenerateWithTargetUS(r, 20+float64(i%13)*5)
-		nf, err := sim.Simulate(workload.FigureDeviceColumns, s, sched.NextFit{}, sim.Options{HorizonCap: opts.SimHorizonCap})
-		if err != nil {
-			return nil, err
-		}
-		fkf, err := sim.Simulate(workload.FigureDeviceColumns, s, sched.FirstKFit{}, sim.Options{HorizonCap: opts.SimHorizonCap})
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case !nf.Missed && !fkf.Missed:
-			bothMeet++
-		case !nf.Missed && fkf.Missed:
-			nfOnly++
-		case nf.Missed && !fkf.Missed:
-			fkfOnly++
-		default:
-			bothMiss++
-		}
-		meter.step(1)
+	// Each draw lands in one outcome cell: bit 1 is "EDF-NF misses",
+	// bit 0 is "EDF-FkF misses".
+	_, cells, err := tally(ctx, opts.Workers, opts.OnProgress, 4, opts.Samples, 4, 0,
+		func(ctx context.Context, job, i int) (int, []bool, error) {
+			n := job*opts.Samples + i
+			r := workload.Rand(opts.Seed ^ uint64(n+1)*0x9e3779b97f4a7c15)
+			s, _ := profile.GenerateWithTargetUS(r, 20+float64(n%13)*5)
+			cell := 0
+			for bit, p := range []sim.Policy{sched.FirstKFit{}, sched.NextFit{}} {
+				res, err := sim.Simulate(workload.FigureDeviceColumns, s, p, sim.Options{HorizonCap: opts.SimHorizonCap})
+				if err != nil {
+					return 0, nil, err
+				}
+				if res.Missed {
+					cell |= 1 << bit
+				}
+			}
+			return cell, nil, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	md := fmt.Sprintf(`| outcome | tasksets |
 |---|---|
@@ -243,9 +191,9 @@ func ablationNFDominance(ctx context.Context, opts RunOptions) (*Output, error) 
 | only EDF-NF meets (dominance advantage) | %d |
 | only EDF-FkF meets (THEOREM VIOLATION if nonzero) | %d |
 | both miss | %d |
-`, bothMeet, nfOnly, fkfOnly, bothMiss)
-	notes := []string{fmt.Sprintf("%d tasksets, synchronous release, horizon cap %v", trials, opts.SimHorizonCap)}
-	if fkfOnly > 0 {
+`, cells[0], cells[1], cells[2], cells[3])
+	notes := []string{fmt.Sprintf("%d tasksets, synchronous release, horizon cap %v", 4*opts.Samples, opts.SimHorizonCap)}
+	if cells[2] > 0 {
 		notes = append(notes, "WARNING: dominance violated — investigate simulator")
 	}
 	return &Output{ID: "ablation-nf", Markdown: md, Notes: notes}, nil
@@ -259,40 +207,32 @@ func ablationOverhead(ctx context.Context, opts RunOptions) (*Output, error) {
 	overheads := []float64{0, 0.005, 0.01, 0.02, 0.05, 0.1}
 	usLevels := []float64{30, 50, 70}
 	profile := workload.Unconstrained(10)
+	// Each (US level, overhead) pair seeds its own draws, so it is one
+	// job and one bin: bin u·len(overheads)+oi.
+	cells := len(usLevels) * len(overheads)
+	accept, counts, err := tally(ctx, opts.Workers, opts.OnProgress, cells, opts.Samples, cells, 1,
+		func(ctx context.Context, job, i int) (int, []bool, error) {
+			us, oi := usLevels[job/len(overheads)], job%len(overheads)
+			r := workload.Rand(opts.Seed ^ uint64(i+1)*31 ^ uint64(oi+1)*131 ^ uint64(int(us)+1)*1031)
+			s, _ := profile.GenerateWithTargetUS(r, us)
+			ok, err := simulateNF(s, opts, sim.Options{ReconfigPerColumn: timeunit.FromFloat(overheads[oi])})
+			return job, []bool{ok}, err
+		})
+	if err != nil {
+		return nil, err
+	}
 	tbl := &report.Table{Title: "ablation-overhead", XLabel: "reconfig overhead per column (time units)", X: overheads}
-	meter := newProgressMeter(opts.OnProgress, len(usLevels)*len(overheads), opts.Samples)
-	for _, us := range usLevels {
-		y := make([]float64, len(overheads))
-		for oi, oh := range overheads {
-			accepted := 0
-			for i := 0; i < opts.Samples; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				r := workload.Rand(opts.Seed ^ uint64(i+1)*31 ^ uint64(oi+1)*131 ^ uint64(int(us)+1)*1031)
-				s, _ := profile.GenerateWithTargetUS(r, us)
-				res, err := sim.Simulate(workload.FigureDeviceColumns, s, sched.NextFit{}, sim.Options{
-					HorizonCap:        opts.SimHorizonCap,
-					ReconfigPerColumn: timeunit.FromFloat(oh),
-				})
-				if err != nil {
-					return nil, err
-				}
-				if !res.Missed {
-					accepted++
-				}
-				meter.step(1)
-			}
-			y[oi] = float64(accepted) / float64(opts.Samples)
-		}
-		tbl.AddColumn(fmt.Sprintf("sim-NF@US=%g", us), y)
+	for u, us := range usLevels {
+		lo, hi := u*len(overheads), (u+1)*len(overheads)
+		tbl.AddColumn(fmt.Sprintf("sim-NF@US=%g", us), ratios(accept[lo:hi], counts[lo:hi], 0))
 	}
 	return &Output{ID: "ablation-overhead", Table: tbl, Markdown: tbl.Markdown()}, nil
 }
 
 // ablationFragmentation compares the capacity model (the paper's
 // unrestricted-migration assumption) against pinned contiguous placement
-// under the three fit strategies, on the Figure 3(b) workload.
+// under the three fit strategies, on the Figure 3(b) workload. Every
+// mode simulates the same draws.
 func ablationFragmentation(ctx context.Context, opts RunOptions) (*Output, error) {
 	opts = opts.WithDefaults()
 	bins := defaultBins(workload.FigureDeviceColumns)
@@ -306,33 +246,25 @@ func ablationFragmentation(ctx context.Context, opts RunOptions) (*Output, error
 		{"best-fit pinned", &sim.PlacementOptions{Strategy: fpga.BestFit}},
 		{"worst-fit pinned", &sim.PlacementOptions{Strategy: fpga.WorstFit}},
 	}
-	tbl := &report.Table{Title: "ablation-frag", XLabel: "system utilization US", X: bins}
-	meter := newProgressMeter(opts.OnProgress, len(modes)*len(bins), opts.Samples)
-	for _, mode := range modes {
-		y := make([]float64, len(bins))
-		for bi, us := range bins {
-			accepted := 0
-			for i := 0; i < opts.Samples; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+	accept, counts, err := tally(ctx, opts.Workers, opts.OnProgress, len(bins), opts.Samples, len(bins), len(modes),
+		func(ctx context.Context, bi, i int) (int, []bool, error) {
+			r := workload.Rand(opts.Seed ^ uint64(i+1)*17 ^ uint64(bi+1)*257)
+			s, _ := profile.GenerateWithTargetUS(r, bins[bi])
+			hits := make([]bool, len(modes))
+			for mi, mode := range modes {
+				var err error
+				if hits[mi], err = simulateNF(s, opts, sim.Options{Placement: mode.placement}); err != nil {
+					return 0, nil, err
 				}
-				r := workload.Rand(opts.Seed ^ uint64(i+1)*17 ^ uint64(bi+1)*257)
-				s, _ := profile.GenerateWithTargetUS(r, us)
-				res, err := sim.Simulate(workload.FigureDeviceColumns, s, sched.NextFit{}, sim.Options{
-					HorizonCap: opts.SimHorizonCap,
-					Placement:  mode.placement,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if !res.Missed {
-					accepted++
-				}
-				meter.step(1)
 			}
-			y[bi] = float64(accepted) / float64(opts.Samples)
-		}
-		tbl.AddColumn(mode.name, y)
+			return bi, hits, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	tbl := &report.Table{Title: "ablation-frag", XLabel: "system utilization US", X: bins}
+	for mi, mode := range modes {
+		tbl.AddColumn(mode.name, ratios(accept, counts, mi))
 	}
 	return &Output{ID: "ablation-frag", Table: tbl, Markdown: tbl.Markdown()}, nil
 }
@@ -345,43 +277,25 @@ func ablationPartition(ctx context.Context, opts RunOptions) (*Output, error) {
 	opts = opts.WithDefaults()
 	bins := defaultBins(workload.FigureDeviceColumns)
 	profile := workload.Unconstrained(10)
-	tbl := &report.Table{Title: "ablation-partition", XLabel: "system utilization US", X: bins}
 	composite := core.ForNF()
-	global := make([]float64, len(bins))
-	partitioned := make([]float64, len(bins))
-	simNFSeries := make([]float64, len(bins))
-	meter := newProgressMeter(opts.OnProgress, len(bins), opts.Samples)
-	for bi, us := range bins {
-		var gAcc, pAcc, sAcc int
-		for i := 0; i < opts.Samples; i++ {
+	accept, counts, err := tally(ctx, opts.Workers, opts.OnProgress, len(bins), opts.Samples, len(bins), 3,
+		func(ctx context.Context, bi, i int) (int, []bool, error) {
 			r := workload.Rand(opts.Seed ^ uint64(i+1)*67 ^ uint64(bi+1)*521)
-			s, _ := profile.GenerateWithTargetUS(r, us)
+			s, _ := profile.GenerateWithTargetUS(r, bins[bi])
 			v, err := analyzeOne(ctx, opts.Analyze, workload.FigureDeviceColumns, s, composite)
 			if err != nil {
-				return nil, err
+				return 0, nil, err
 			}
-			if v.Schedulable {
-				gAcc++
-			}
-			if partition.Schedulable(workload.FigureDeviceColumns, s) {
-				pAcc++
-			}
-			res, err := sim.Simulate(workload.FigureDeviceColumns, s, sched.NextFit{}, sim.Options{HorizonCap: opts.SimHorizonCap})
-			if err != nil {
-				return nil, err
-			}
-			if !res.Missed {
-				sAcc++
-			}
-			meter.step(1)
-		}
-		global[bi] = float64(gAcc) / float64(opts.Samples)
-		partitioned[bi] = float64(pAcc) / float64(opts.Samples)
-		simNFSeries[bi] = float64(sAcc) / float64(opts.Samples)
+			ok, err := simulateNF(s, opts, sim.Options{})
+			return bi, []bool{v.Schedulable, partition.Schedulable(workload.FigureDeviceColumns, s), ok}, err
+		})
+	if err != nil {
+		return nil, err
 	}
-	tbl.AddColumn("global any(DP|GN1|GN2)", global)
-	tbl.AddColumn("partitioned FFD+EDF (exact)", partitioned)
-	tbl.AddColumn("global sim-NF", simNFSeries)
+	tbl := &report.Table{Title: "ablation-partition", XLabel: "system utilization US", X: bins}
+	for si, name := range []string{"global any(DP|GN1|GN2)", "partitioned FFD+EDF (exact)", "global sim-NF"} {
+		tbl.AddColumn(name, ratios(accept, counts, si))
+	}
 	return &Output{ID: "ablation-partition", Table: tbl, Markdown: tbl.Markdown()}, nil
 }
 
@@ -393,7 +307,6 @@ func ablationUSHybrid(ctx context.Context, opts RunOptions) (*Output, error) {
 	opts = opts.WithDefaults()
 	bins := defaultBins(workload.FigureDeviceColumns)
 	profile := workload.SpatiallyLightTemporallyHeavy(10)
-	tbl := &report.Table{Title: "ablation-ushybrid", XLabel: "system utilization US", X: bins}
 	policies := []PolicyFactory{
 		simNF,
 		{Name: "sim-US[1/4]-NF", New: func(s *task.Set, columns int) (sim.Policy, error) {
@@ -403,42 +316,34 @@ func ablationUSHybrid(ctx context.Context, opts RunOptions) (*Output, error) {
 			return sched.NewUSHybrid(s, columns, 1, 2, sched.PackNF)
 		}},
 	}
-	counts := make([]int, len(bins))
-	acc := make([][]int, len(bins))
-	for i := range acc {
-		acc[i] = make([]int, len(policies))
+	accept, counts, err := tally(ctx, opts.Workers, opts.OnProgress, len(bins), opts.Samples, len(bins), len(policies),
+		func(ctx context.Context, job, i int) (int, []bool, error) {
+			r := workload.Rand(opts.Seed ^ uint64(job*opts.Samples+i+1)*97)
+			s := profile.Generate(r)
+			bi := nearestBin(bins, workload.USFloat(s))
+			if bi < 0 {
+				return -1, nil, nil
+			}
+			hits := make([]bool, len(policies))
+			for pi, pf := range policies {
+				p, err := pf.New(s, workload.FigureDeviceColumns)
+				if err != nil {
+					return 0, nil, err
+				}
+				res, err := sim.Simulate(workload.FigureDeviceColumns, s, p, sim.Options{HorizonCap: opts.SimHorizonCap})
+				if err != nil {
+					return 0, nil, err
+				}
+				hits[pi] = !res.Missed
+			}
+			return bi, hits, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	draws := opts.Samples * len(bins)
-	meter := newProgressMeter(opts.OnProgress, len(bins), opts.Samples)
-	for i := 0; i < draws; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := workload.Rand(opts.Seed ^ uint64(i+1)*97)
-		s := profile.Generate(r)
-		bi := nearestBin(bins, workload.USFloat(s))
-		if bi < 0 {
-			meter.step(1)
-			continue
-		}
-		counts[bi]++
-		for pi, pf := range policies {
-			p, err := pf.New(s, workload.FigureDeviceColumns)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Simulate(workload.FigureDeviceColumns, s, p, sim.Options{HorizonCap: opts.SimHorizonCap})
-			if err != nil {
-				return nil, err
-			}
-			if !res.Missed {
-				acc[bi][pi]++
-			}
-		}
-		meter.step(1)
-	}
+	tbl := &report.Table{Title: "ablation-ushybrid", XLabel: "system utilization US", X: bins}
 	for pi, pf := range policies {
-		tbl.AddColumn(pf.Name, ratios(acc, counts, pi))
+		tbl.AddColumn(pf.Name, ratios(accept, counts, pi))
 	}
 	return &Output{ID: "ablation-ushybrid", Table: tbl, Markdown: tbl.Markdown(), Counts: counts}, nil
 }
@@ -468,41 +373,32 @@ func ablation2D(ctx context.Context, opts RunOptions) (*Output, error) {
 		{"best-short-side placement", twod.Options{Heuristic: twod.BestShortSideFit}},
 		{"best-area placement", twod.Options{Heuristic: twod.BestAreaFit}},
 	}
-	counts := make([]int, len(bins))
-	acc := make([][]int, len(bins))
-	for i := range acc {
-		acc[i] = make([]int, len(modes))
-	}
-	draws := opts.Samples * len(bins)
-	meter := newProgressMeter(opts.OnProgress, len(bins), opts.Samples)
-	for i := 0; i < draws; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := workload.Rand(opts.Seed ^ uint64(i+1)*193)
-		s := profile.Generate(r)
-		bi := nearestBin(bins, s.USFloat())
-		if bi < 0 {
-			meter.step(1)
-			continue
-		}
-		counts[bi]++
-		for mi, mode := range modes {
-			o := mode.opts
-			o.Horizon = opts.SimHorizonCap
-			res, err := twod.Simulate(devW, devH, s, o)
-			if err != nil {
-				return nil, err
+	accept, counts, err := tally(ctx, opts.Workers, opts.OnProgress, len(bins), opts.Samples, len(bins), len(modes),
+		func(ctx context.Context, job, i int) (int, []bool, error) {
+			r := workload.Rand(opts.Seed ^ uint64(job*opts.Samples+i+1)*193)
+			s := profile.Generate(r)
+			bi := nearestBin(bins, s.USFloat())
+			if bi < 0 {
+				return -1, nil, nil
 			}
-			if !res.Missed {
-				acc[bi][mi]++
+			hits := make([]bool, len(modes))
+			for mi, mode := range modes {
+				o := mode.opts
+				o.Horizon = opts.SimHorizonCap
+				res, err := twod.Simulate(devW, devH, s, o)
+				if err != nil {
+					return 0, nil, err
+				}
+				hits[mi] = !res.Missed
 			}
-		}
-		meter.step(1)
+			return bi, hits, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	tbl := &report.Table{Title: "ablation-2d", XLabel: "system utilization US (cells)", X: bins}
 	for mi, mode := range modes {
-		tbl.AddColumn(mode.name, ratios(acc, counts, mi))
+		tbl.AddColumn(mode.name, ratios(accept, counts, mi))
 	}
 	return &Output{ID: "ablation-2d", Table: tbl, Markdown: tbl.Markdown(), Counts: counts}, nil
 }
@@ -513,7 +409,7 @@ func ablation2D(ctx context.Context, opts RunOptions) (*Output, error) {
 // capacity view just shrinks A(H); the placement view also splits the
 // fabric, so a mid-fabric reservation can hurt more than its area — the
 // difference between the two placement columns isolates that geometry
-// effect.
+// effect. Every mode simulates the same draws.
 func ablationReserved(ctx context.Context, opts RunOptions) (*Output, error) {
 	opts = opts.WithDefaults()
 	reservedFractions := []float64{0, 0.1, 0.2, 0.3, 0.4}
@@ -525,7 +421,6 @@ func ablationReserved(ctx context.Context, opts RunOptions) (*Output, error) {
 		PeriodMin: 5, PeriodMax: 20, UtilMin: 0, UtilMax: 1,
 	}
 	const targetUS = 40
-	tbl := &report.Table{Title: "ablation-reserved", XLabel: "reserved fraction of fabric", X: reservedFractions}
 	modes := []struct {
 		name      string
 		placement bool
@@ -535,47 +430,36 @@ func ablationReserved(ctx context.Context, opts RunOptions) (*Output, error) {
 		{"placement, edge reservation", true, false},
 		{"placement, centre reservation", true, true},
 	}
-	meter := newProgressMeter(opts.OnProgress, len(modes)*len(reservedFractions), opts.Samples)
-	for _, m := range modes {
-		y := make([]float64, len(reservedFractions))
-		for fi, frac := range reservedFractions {
-			cols := int(frac * workload.FigureDeviceColumns)
-			var reserved []fpga.Region
-			if cols > 0 {
-				lo := 0
-				if m.centre {
-					lo = (workload.FigureDeviceColumns - cols) / 2
+	accept, counts, err := tally(ctx, opts.Workers, opts.OnProgress, len(reservedFractions), opts.Samples, len(reservedFractions), len(modes),
+		func(ctx context.Context, fi, i int) (int, []bool, error) {
+			r := workload.Rand(opts.Seed ^ uint64(i+1)*29 ^ uint64(fi+1)*769)
+			s, _ := profile.GenerateWithTargetUS(r, targetUS)
+			cols := int(reservedFractions[fi] * workload.FigureDeviceColumns)
+			hits := make([]bool, len(modes))
+			for mi, m := range modes {
+				var o sim.Options
+				if cols > 0 {
+					lo := 0
+					if m.centre {
+						lo = (workload.FigureDeviceColumns - cols) / 2
+					}
+					o.Reserved = []fpga.Region{{Lo: lo, Hi: lo + cols}}
 				}
-				reserved = []fpga.Region{{Lo: lo, Hi: lo + cols}}
+				if m.placement {
+					o.Placement = &sim.PlacementOptions{Strategy: fpga.FirstFit, DefragEveryEvent: true}
+				}
+				// A task wider than the usable fabric fails the
+				// simulation: the set is rejected.
+				hits[mi], _ = simulateNF(s, opts, o)
 			}
-			var placement *sim.PlacementOptions
-			if m.placement {
-				placement = &sim.PlacementOptions{Strategy: fpga.FirstFit, DefragEveryEvent: true}
-			}
-			accepted := 0
-			for i := 0; i < opts.Samples; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				r := workload.Rand(opts.Seed ^ uint64(i+1)*29 ^ uint64(fi+1)*769)
-				s, _ := profile.GenerateWithTargetUS(r, targetUS)
-				res, err := sim.Simulate(workload.FigureDeviceColumns, s, sched.NextFit{}, sim.Options{
-					HorizonCap: opts.SimHorizonCap,
-					Reserved:   reserved,
-					Placement:  placement,
-				})
-				if err != nil {
-					meter.step(1)
-					continue // task wider than usable fabric: rejected
-				}
-				if !res.Missed {
-					accepted++
-				}
-				meter.step(1)
-			}
-			y[fi] = float64(accepted) / float64(opts.Samples)
-		}
-		tbl.AddColumn(m.name, y)
+			return fi, hits, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	tbl := &report.Table{Title: "ablation-reserved", XLabel: "reserved fraction of fabric", X: reservedFractions}
+	for mi, m := range modes {
+		tbl.AddColumn(m.name, ratios(accept, counts, mi))
 	}
 	return &Output{ID: "ablation-reserved", Table: tbl, Markdown: tbl.Markdown()}, nil
 }

@@ -30,6 +30,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"fpgasched/internal/core"
 	"fpgasched/internal/report"
@@ -269,103 +270,110 @@ func (cfg SweepConfig) Run(ctx context.Context) (*SweepResult, error) {
 	if len(bins) == 0 {
 		bins = defaultBins(cfg.Columns)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	meter := newProgressMeter(cfg.OnProgress, len(bins), cfg.SamplesPerBin)
-
-	// accept[bin][series] counts acceptances; counts[bin] counts samples.
-	accept := make([][]int, len(bins))
-	for i := range accept {
-		accept[i] = make([]int, cfg.seriesCount())
-	}
-	counts := make([]int, len(bins))
-
-	type job struct{ bin, sample int }
-	jobs := make(chan job)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-
-	worker := func() {
-		defer wg.Done()
-		for jb := range jobs {
-			// A cancelled run drains the remaining queue without touching
-			// it, so Run returns as soon as the producer stops.
-			if ctx.Err() != nil {
-				continue
-			}
-			// Deterministic per-sample seed, independent of scheduling.
-			seed := cfg.Seed ^ (uint64(jb.bin+1) * 0x9e3779b97f4a7c15) ^ (uint64(jb.sample+1) * 0xbf58476d1ce4e5b9)
-			r := workload.Rand(seed)
+	accept, counts, err := tally(ctx, cfg.Workers, cfg.OnProgress, len(bins), cfg.SamplesPerBin, len(bins), cfg.seriesCount(),
+		func(ctx context.Context, b, i int) (int, []bool, error) {
+			r := workload.Rand(cfg.Seed ^ (uint64(b+1) * 0x9e3779b97f4a7c15) ^ (uint64(i+1) * 0xbf58476d1ce4e5b9))
 			var s *task.Set
-			binIdx := jb.bin
 			if cfg.Raw {
 				s = cfg.Profile.Generate(r)
-				us := workload.USFloat(s)
-				binIdx = nearestBin(bins, us)
-				if binIdx < 0 {
-					meter.step(1) // the draw is work done even when unbinned
-					continue
+				if b = nearestBin(bins, workload.USFloat(s)); b < 0 {
+					return -1, nil, nil
 				}
 			} else {
-				s, _ = cfg.Profile.GenerateWithTargetUS(r, bins[jb.bin])
+				s, _ = cfg.Profile.GenerateWithTargetUS(r, bins[b])
 			}
-			verdicts, err := cfg.evaluate(ctx, s)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				continue
-			}
-			mu.Lock()
-			counts[binIdx]++
-			for si, ok := range verdicts {
-				if ok {
-					accept[binIdx][si]++
-				}
-			}
-			mu.Unlock()
-			meter.step(1)
-		}
-	}
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-produce:
-	for b := range bins {
-		for s := 0; s < cfg.SamplesPerBin; s++ {
-			if ctx.Err() != nil {
-				break produce
-			}
-			jobs <- job{bin: b, sample: s}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+			hits, err := cfg.evaluate(ctx, s)
+			return b, hits, err
+		})
+	if err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	tbl := &report.Table{Title: cfg.Name, XLabel: "system utilization US", X: bins}
-	si := 0
-	for _, t := range cfg.Tests {
+	for si, t := range cfg.Tests {
 		tbl.AddColumn(t.Name(), ratios(accept, counts, si))
-		si++
 	}
-	for _, p := range cfg.Policies {
-		tbl.AddColumn(p.Name, ratios(accept, counts, si))
-		si++
+	for pi, p := range cfg.Policies {
+		tbl.AddColumn(p.Name, ratios(accept, counts, len(cfg.Tests)+pi))
 	}
 	return &SweepResult{Table: tbl, Counts: counts}, nil
+}
+
+// sampler draws and evaluates sample i of job under ctx. It seeds its
+// own draw from (job, i), so a sample's outcome does not depend on
+// which worker runs it or when. It returns the bin the sample landed in
+// (-1: outside the grid — work done, tallied nowhere) and whether each
+// series accepted it.
+type sampler func(ctx context.Context, job, i int) (bin int, hits []bool, err error)
+
+// tally is the one sample loop behind every sampled experiment. It runs
+// sample for every (job, i) with job < jobs and i < perJob on a pool of
+// workers (zero: GOMAXPROCS), and returns accept[bin][series] (samples
+// each series accepted) and counts[bin] (samples that landed in each
+// bin). Progress is reported once per completed job's worth of samples.
+// The tallies are integer sums, so the result is the same for every
+// worker count.
+//
+// Cancellation aborts promptly: workers stop picking up samples,
+// in-flight samples see the cancelled ctx, and tally returns ctx.Err().
+// A failed sample stops the run the same way and its error is returned.
+func tally(ctx context.Context, workers int, onProgress func(Progress), jobs, perJob, bins, series int, sample sampler) (accept [][]int, counts []int, err error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	total := jobs * perJob
+	workers = min(workers, total)
+	meter := newProgressMeter(onProgress, jobs, perJob)
+	accept = make([][]int, bins)
+	for b := range accept {
+		accept[b] = make([]int, series)
+	}
+	counts = make([]int, bins)
+
+	runCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for n := int(next.Add(1) - 1); n < total && runCtx.Err() == nil; n = int(next.Add(1) - 1) {
+				bin, hits, err := sample(runCtx, n/perJob, n%perJob)
+				mu.Lock()
+				switch {
+				case err != nil:
+					if firstErr == nil {
+						firstErr = err
+						stop()
+					}
+				case bin >= 0:
+					counts[bin]++
+					for s, ok := range hits {
+						if ok {
+							accept[bin][s]++
+						}
+					}
+				}
+				mu.Unlock()
+				if err == nil {
+					meter.step(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	if firstErr != nil {
+		return nil, nil, firstErr
+	}
+	return accept, counts, nil
 }
 
 // evaluate runs every test and simulation policy on one taskset,

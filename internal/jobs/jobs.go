@@ -113,9 +113,9 @@ var (
 
 // Defaults for Config zero values.
 const (
-	// DefaultSlots bounds concurrently running jobs. Experiment sweeps
-	// are internally parallel (RunOptions.Workers), so a small slot
-	// count already saturates the machine.
+	// DefaultSlots bounds concurrently running jobs. Every sampled
+	// experiment is internally parallel (RunOptions.Workers), so a
+	// small slot count already saturates the machine.
 	DefaultSlots = 2
 	// DefaultMaxJobs bounds retained jobs (queued + running + finished).
 	// When full, the oldest finished job is evicted to admit a new one.
