@@ -67,11 +67,13 @@ bench-serve:
 # is the wal=* admit-heavy series in BENCH_serve.json. BenchmarkAdmitChurn
 # is perfbench's admit-churn write path in process (DP/GN1/GN2, 30
 # residents), reporting rejected and admitted Request latency apart.
+# BenchmarkAdmitResponseCodec and BenchmarkAnalyzeCodec time the admit
+# and analyze wire codecs against reflective encoding/json.
 bench-admit:
 	mkdir -p bench-results
 	$(GO) test -bench 'BenchmarkAdmitRelease' -benchtime 200x -run XXX ./internal/admission/ | tee bench-results/BENCH_admit.txt
 	$(GO) test -bench 'BenchmarkAdmitChurn' -benchtime 2000x -run XXX ./internal/admission/ | tee -a bench-results/BENCH_admit.txt
-	$(GO) test -bench 'BenchmarkAdmitResponseCodec' -benchtime 2000x -run XXX ./api/ | tee -a bench-results/BENCH_admit.txt
+	$(GO) test -bench 'BenchmarkAdmitResponseCodec|BenchmarkAnalyzeCodec' -benchtime 2000x -run XXX ./api/ | tee -a bench-results/BENCH_admit.txt
 	$(GO) run ./cmd/benchjson -in bench-results/BENCH_admit.txt -out bench-results/BENCH_admit.json
 
 crash-smoke: ## live-daemon kill -9 + WAL replay smoke, archives BENCH_recovery.json

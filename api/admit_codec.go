@@ -152,14 +152,14 @@ func appendCheck(b []byte, depth int, c *Check) []byte {
 // ParseJSON decodes data into r in one pass, without reflection, with
 // every string a substring of one copy of data. It accepts only the
 // plain subset of the admit response's JSON: exactly the field names
-// (each at most once per object), strings of printable ASCII without
-// escapes, integer numbers, and nothing after the value but
-// whitespace. On anything else — escapes, non-ASCII, null, an unknown,
-// duplicate or case-variant key, trailing data — it reports false and
-// leaves r unspecified; the caller then decodes the same bytes with
-// json.Decoder, whose result and error are authoritative. On every
-// input it accepts, r equals what json.Decoder decodes into a zero
-// AdmitResponse.
+// (each at most once per object), strings without escapes (printable
+// ASCII; reasons also valid UTF-8), integer numbers, and nothing after
+// the value but whitespace. On anything else — escapes, non-ASCII
+// outside a reason, null, an unknown, duplicate or case-variant key,
+// trailing data — it reports false and leaves r unspecified; the
+// caller then decodes the same bytes with json.Decoder, whose result
+// and error are authoritative. On every input it accepts, r equals
+// what json.Decoder decodes into a zero AdmitResponse.
 func (r *AdmitResponse) ParseJSON(data []byte) bool {
 	*r = AdmitResponse{}
 	p := jsonwire.NewParser(data)
@@ -171,7 +171,7 @@ func (r *AdmitResponse) ParseJSON(data []byte) bool {
 		case "proved_by":
 			r.ProvedBy, ok = p.Str()
 		case "reason":
-			r.Reason, ok = p.Str()
+			r.Reason, ok = p.Text()
 		case "certificate":
 			r.Certificate = new(Verdict)
 			ok = parseCertificate(&p, r.Certificate)
@@ -183,8 +183,8 @@ func (r *AdmitResponse) ParseJSON(data []byte) bool {
 // fieldSet records the keys of one object already read, to refuse a
 // duplicate (encoding/json keeps the last of repeated scalars and
 // merges repeated objects; the plain subset has neither). It holds up
-// to seven keys, the most any admit response object has, and is only
-// asked about keys the object knows.
+// to seven keys, the most any object of the admit or analyze codec
+// has, and is only asked about keys the object knows.
 type fieldSet struct {
 	keys [7]string
 	n    int
@@ -210,7 +210,7 @@ func parseCertificate(p *jsonwire.Parser, c *Verdict) bool {
 		case "schedulable":
 			c.Schedulable, ok = p.Bool()
 		case "reason":
-			c.Reason, ok = p.Str()
+			c.Reason, ok = p.Text()
 		case "failing_task":
 			var ft int
 			ft, ok = p.Int()

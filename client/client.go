@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"fpgasched/api"
+	"fpgasched/internal/jsonwire"
 )
 
 // Certificate is the machine-readable proof attached to a verdict when
@@ -149,7 +150,11 @@ func (c *Client) backoffFor(k int) time.Duration {
 // delete, so the resource still exists.
 func (c *Client) do(ctx context.Context, method, path string, in, out any, retry bool) error {
 	var body []byte
-	if in != nil {
+	switch v := in.(type) {
+	case nil:
+	case *api.AnalyzeRequest:
+		body = v.AppendJSON(nil)
+	default:
 		var err error
 		if body, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("client: encoding request: %w", err)
@@ -214,9 +219,12 @@ func finish(resp *http.Response, out any) error {
 		return nil
 	}
 	var err error
-	if ar, ok := out.(*api.AdmitResponse); ok {
-		err = decodeAdmit(resp.Body, ar)
-	} else {
+	switch o := out.(type) {
+	case *api.AdmitResponse:
+		err = decodePlain(resp.Body, o)
+	case *api.AnalyzeResponse:
+		err = decodePlain(resp.Body, o)
+	default:
 		err = json.NewDecoder(resp.Body).Decode(out)
 	}
 	if err != nil {
@@ -225,28 +233,26 @@ func finish(resp *http.Response, out any) error {
 	return nil
 }
 
-// decodeAdmit decodes an admit response body with the one-pass
-// AdmitResponse.ParseJSON, and with json.Decoder — which sees exactly
-// the bytes, and the read error, a streaming decode would have seen —
-// when the body falls outside ParseJSON's plain subset, so results and
-// error text match a plain json.Decoder decode.
-func decodeAdmit(body io.Reader, out *api.AdmitResponse) error {
-	data, err := io.ReadAll(body)
-	if err == nil && out.ParseJSON(data) {
-		return nil
-	}
-	*out = api.AdmitResponse{}
-	var rest io.Reader = bytes.NewReader(data)
-	if err != nil {
-		rest = io.MultiReader(rest, errReader{err})
-	}
-	return json.NewDecoder(rest).Decode(out)
+// plainParser is a response with a one-pass codec: ParseJSON decodes
+// the plain subset of its JSON and refuses anything else.
+type plainParser[T any] interface {
+	*T
+	ParseJSON(data []byte) bool
 }
 
-// errReader fails every read with err.
-type errReader struct{ err error }
-
-func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+// decodePlain decodes a response body with its one-pass ParseJSON, and
+// with json.Decoder — which sees exactly the bytes, and the read error,
+// a streaming decode would have seen — when the body falls outside
+// ParseJSON's plain subset, so results and error text match a plain
+// json.Decoder decode.
+func decodePlain[T any, P plainParser[T]](body io.Reader, out P) error {
+	rest, ok := jsonwire.ReadPlain(body, out.ParseJSON)
+	if ok {
+		return nil
+	}
+	*out = *new(T)
+	return json.NewDecoder(rest).Decode(out)
+}
 
 // readError converts a non-2xx response into *api.Error, synthesising
 // one when the body is not a wire error (a proxy page, say).
@@ -343,7 +349,7 @@ func (c *Client) TestInfos(ctx context.Context) ([]api.TestInfo, error) {
 // are pure, so the call is retried under the configured policy.
 func (c *Client) Analyze(ctx context.Context, req api.AnalyzeRequest) (*api.AnalyzeResponse, error) {
 	var out api.AnalyzeResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/analyze", req, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/analyze", &req, &out, true); err != nil {
 		return nil, err
 	}
 	return &out, nil

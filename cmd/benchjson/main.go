@@ -31,9 +31,12 @@ import (
 
 // Result is one benchmark line in JSON form. Extra metric pairs beyond
 // ns/op (B/op, allocs/op, custom ReportMetric units) land in Metrics.
-// Gomaxprocs is read from the name's "-N" suffix (none means 1).
+// Gomaxprocs is read from the name's "-N" suffix (none means 1). Pkg is
+// the package of the "pkg:" header the line follows, so one archive
+// can hold several packages' results.
 type Result struct {
 	Name       string             `json:"name"`
+	Pkg        string             `json:"pkg,omitempty"`
 	Gomaxprocs int                `json:"gomaxprocs"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
@@ -41,7 +44,8 @@ type Result struct {
 }
 
 // Document is the archived file: the environment header go test prints
-// plus every benchmark line, in order.
+// plus every benchmark line, in order. Pkg is the last "pkg:" header
+// read; each result carries its own.
 type Document struct {
 	GoOS    string   `json:"goos,omitempty"`
 	GoArch  string   `json:"goarch,omitempty"`
@@ -118,6 +122,7 @@ func parse(r io.Reader) (Document, error) {
 		case strings.HasPrefix(line, "Benchmark"):
 			res, ok := parseBench(line)
 			if ok {
+				res.Pkg = doc.Pkg
 				doc.Results = append(doc.Results, res)
 			}
 		}

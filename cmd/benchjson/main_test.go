@@ -43,6 +43,46 @@ ok  	fpgasched/internal/engine	0.5s
 	}
 }
 
+// TestParseTagsEachResultWithItsPackage: an archive built from several
+// `go test -bench` runs keeps each row's own package, not the last
+// header's.
+func TestParseTagsEachResultWithItsPackage(t *testing.T) {
+	text := `goos: linux
+pkg: fpgasched/internal/core
+BenchmarkColdDecide-2   	     512	    115000 ns/op
+PASS
+ok  	fpgasched/internal/core	1.2s
+pkg: fpgasched/internal/rat
+BenchmarkRatAdd-2   	 1000000	        12 ns/op
+BenchmarkRatMul-2   	 1000000	        15 ns/op
+PASS
+ok  	fpgasched/internal/rat	0.4s
+pkg: fpgasched/internal/interval
+BenchmarkIntervalAdd-2   	 1000000	         3 ns/op
+`
+	doc, err := parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"BenchmarkColdDecide-2":  "fpgasched/internal/core",
+		"BenchmarkRatAdd-2":      "fpgasched/internal/rat",
+		"BenchmarkRatMul-2":      "fpgasched/internal/rat",
+		"BenchmarkIntervalAdd-2": "fpgasched/internal/interval",
+	}
+	if len(doc.Results) != len(want) {
+		t.Fatalf("results = %d, want %d", len(doc.Results), len(want))
+	}
+	for _, r := range doc.Results {
+		if r.Pkg != want[r.Name] {
+			t.Errorf("%s: pkg = %q, want %q", r.Name, r.Pkg, want[r.Name])
+		}
+	}
+	if doc.Pkg != "fpgasched/internal/interval" {
+		t.Errorf("document pkg = %q, want the last header's", doc.Pkg)
+	}
+}
+
 func TestParseSkipsMalformed(t *testing.T) {
 	doc, err := parse(strings.NewReader("BenchmarkBroken-8 notanumber 5 ns/op\nBenchmarkShort\n"))
 	if err != nil {

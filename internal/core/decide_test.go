@@ -148,9 +148,13 @@ func TestDecideLargeSets(t *testing.T) {
 }
 
 // TestDecideCancelled checks that an aborted Decide is reported like an
-// aborted Analyze: Err set, nothing to act on.
+// aborted Analyze: Err set, nothing to act on. The set is cold-mix set
+// 73 (coldSets): DP and GN1 reject it, and its US(Γ) ≈ 46 is below
+// Abnd = 53, so GN2's set-level stage cannot reject it and the per-task
+// sweep runs into the poll budget.
 func TestDecideCancelled(t *testing.T) {
-	s := workload.Unconstrained(30).Generate(workload.Rand(3))
+	r := workload.Rand(74)
+	s, _ := workload.Heterogeneous(30).GenerateWithTargetUS(r, 10+r.Float64()*50)
 	dev := core.NewDevice(workload.FigureDeviceColumns)
 	ctx := &pollLimitedCtx{Context: context.Background(), limit: 40}
 	v := core.Decide(ctx, core.ForNF(), dev, s)

@@ -128,14 +128,17 @@ func (g GN2Test) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 	if v, ok := precheck(name, dev, s); !ok {
 		return v
 	}
-	abnd := rat.FromInt(int64(dev.Columns - s.AMax() + 1))
-	amin := rat.FromInt(int64(s.AMin()))
+	n := len(s.Tasks)
+	checks := make([]BoundCheck, n)
+	abndI, aminI := int64(dev.Columns-s.AMax()+1), int64(s.AMin())
+	if !evidence && ScreenOn(ctx) && g.setViolated(s, abndI, aminI, screenStatsFrom(ctx)) {
+		return gn2Verdict(name, s, checks)
+	}
+	abnd, amin := rat.FromInt(abndI), rat.FromInt(aminI)
 	sw := g.newSweep(s, abnd, amin, evidence)
 	if ScreenOn(ctx) {
 		sw.initScreen(screenStatsFrom(ctx))
 	}
-	n := len(s.Tasks)
-	checks := make([]BoundCheck, n)
 
 	workers := SweepWorkers(ctx)
 	if workers > n {
@@ -184,6 +187,12 @@ func (g GN2Test) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 		}
 	}
 
+	return gn2Verdict(name, s, checks)
+}
+
+// gn2Verdict assembles the verdict from the per-task checks, in task
+// order: the first unsatisfied check is the failing task.
+func gn2Verdict(name string, s *task.Set, checks []BoundCheck) Verdict {
 	v := Verdict{Test: name, Schedulable: true, FailingTask: -1, Checks: checks}
 	for k := range checks {
 		checks[k].TaskIndex = k
@@ -195,6 +204,46 @@ func (g GN2Test) analyze(ctx context.Context, dev Device, s *task.Set, evidence 
 		}
 	}
 	return v
+}
+
+// setViolated is the pipeline's set-level stage, run by an
+// evidence-free analysis before the sweep is built: it certifies, with
+// one interval evaluation of the system utilization US(Γ) = Σ Ai·Ci/Ti,
+// that every candidate of every task violates both conditions, so GN2
+// rejects all tasks. It applies only to constrained deadlines (every
+// Di ≤ Ti), where Lemma 7's middle case is unreachable and cases 1 and
+// 3 give βλk(i) ≥ Ci/Ti at every candidate λ. With ui, x ∈ [0, 1],
+// min(β, x) ≥ ui·x, so at any valid λ (λk ≤ 1):
+//
+//	condition 1: LHS ≥ US(Γ)·(1 − λk)  against  Abnd·(1 − λk)
+//	condition 2: LHS ≥ US(Γ)           against  Abnd·(1 − λk) + Amin·λk ≤ max(Abnd, Amin)
+//
+// US(Γ) ≥ max(Abnd, Amin) therefore violates both (condition 1 is
+// strict; under CondTwoNonStrict condition 2 needs US(Γ) > max). Each
+// term is enclosed from its integer fraction, so the stage pays no
+// exact arithmetic. It counts one evaluation and, when it rejects, one
+// decided and range-pruned bound per task: it disposes of each task's
+// whole candidate range at once, without building it. An enclosure
+// that straddles the bound decides nothing and the sweep runs as usual.
+func (g GN2Test) setViolated(s *task.Set, abnd, amin int64, stats *ScreenStats) bool {
+	var us interval.Acc
+	for _, ti := range s.Tasks {
+		if ti.D > ti.T {
+			return false
+		}
+		us.AddScaled(float64(ti.A), interval.FromFrac(int64(ti.C), int64(ti.T)))
+	}
+	bound := interval.FromInt(max(abnd, amin))
+	violated := us.I().AllGreaterEq(bound)
+	if g.Options.CondTwoNonStrict {
+		violated = us.I().AllGreater(bound)
+	}
+	c := screenCounters{evals: 1}
+	if violated {
+		c.decided, c.rangePruned = uint64(len(s.Tasks)), uint64(len(s.Tasks))
+	}
+	stats.add(c)
+	return violated
 }
 
 // gn2Sweep holds everything about one (device, taskset) sweep that is

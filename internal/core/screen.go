@@ -31,7 +31,9 @@ type (
 // exactly. RangePruned is the part of Decided disposed of by a GN2
 // range evaluation (one enclosure over a whole run of candidates), and
 // Evals the number of interval evaluations run, range and point alike
-// (GN1/DP: one per screened bound). The fields are atomics so parallel
+// (GN1/DP: one per screened bound). GN2's set-level stage counts one
+// evaluation per run and, when it rejects the set, one decided and
+// range-pruned bound per task (it never builds the candidate lists). The fields are atomics so parallel
 // sweep workers can share one sink; kernels accumulate locally and
 // flush once per task.
 type ScreenStats struct {

@@ -146,13 +146,15 @@ func TestScreenStatsSharedAcrossParallelSweep(t *testing.T) {
 	}
 }
 
-// TestColdMixGN2ScreenWork pins what the bisecting range screen costs
-// on the served analyze-cold mix (coldSets) under Decide: GN2 rejects
-// the tasks of nearly every set that reaches it, and a rejected task's
-// whole candidate range should certify with about one interval
+// TestColdMixGN2ScreenWork pins what GN2's screens cost on the served
+// analyze-cold mix (coldSets) under Decide: GN2 rejects the tasks of
+// nearly every set that reaches it. The set-level stage rejects most
+// such sets with one interval evaluation; on the rest a rejected
+// task's whole candidate range should certify with about one range
 // evaluation. The bound of 1.6 evaluations per task leaves headroom
-// over the measured 1.49; screening each of a task's ~15 candidates on
-// its own would cost ~15. No candidate may need the exact kernel.
+// over the 1.49 the range screen alone measured (0.06 with the stage);
+// screening each of a task's ~15 candidates on its own would cost ~15.
+// No candidate may need the exact kernel.
 func TestColdMixGN2ScreenWork(t *testing.T) {
 	dev := core.NewDevice(workload.FigureDeviceColumns)
 	nf := core.ForNF()

@@ -102,7 +102,12 @@ type Store struct {
 	seq    uint64
 	state  *Snapshot // recovered image, immutable after Open
 	failed error
-	dirty  bool // written since last sync
+	// walFailed is set when a WAL write or sync failed: the file's
+	// state is unknown, so it is never synced again. A failed
+	// compaction latches failed but not walFailed, so the records
+	// already acknowledged still reach the disk.
+	walFailed bool
+	dirty     bool // written since last sync
 
 	records   uint64
 	bytes     uint64
@@ -262,15 +267,13 @@ func (s *Store) Append(r Record) error {
 		return fmt.Errorf("durable: record of %d bytes exceeds the %d-byte cap", len(buf)-frameHeaderLen, DefaultMaxRecordBytes)
 	}
 	if _, err := s.f.Write(buf); err != nil {
-		return s.fail(fmt.Errorf("durable: appending record: %w", err))
+		return s.failWAL(fmt.Errorf("durable: appending record: %w", err))
 	}
 	s.dirty = true
 	if s.opts.Fsync == FsyncAlways {
-		if err := s.f.Sync(); err != nil {
-			return s.fail(fmt.Errorf("durable: syncing wal: %w", err))
+		if err := s.syncLocked(); err != nil {
+			return err
 		}
-		s.fsyncs++
-		s.dirty = false
 	}
 	s.seq = r.Seq
 	s.shadow.apply(r)
@@ -280,7 +283,8 @@ func (s *Store) Append(r Record) error {
 	if s.opts.SnapshotBytes > 0 && s.walBytes >= s.opts.SnapshotBytes {
 		if err := s.compactLocked(); err != nil {
 			// The record is logged; latch so that the next append
-			// fails: the disk is misbehaving.
+			// fails: the disk is misbehaving. The WAL itself did not
+			// fail, so the flush loop and Close keep syncing it.
 			s.fail(err)
 		}
 	}
@@ -315,6 +319,26 @@ func (s *Store) fail(err error) error {
 	return s.failed
 }
 
+// failWAL latches the store degraded after a failed WAL write or sync,
+// and stops every later sync of the WAL.
+func (s *Store) failWAL(err error) error {
+	s.walFailed = true
+	return s.fail(err)
+}
+
+// syncLocked fsyncs the WAL; a failure latches the store. Caller holds
+// s.mu.
+func (s *Store) syncLocked() error {
+	if err := s.f.Sync(); err != nil {
+		err = fmt.Errorf("durable: syncing wal: %w", err)
+		s.failWAL(err)
+		return err
+	}
+	s.fsyncs++
+	s.dirty = false
+	return nil
+}
+
 // flushLoop is the FsyncInterval timer: flush when dirty, until Close.
 func (s *Store) flushLoop() {
 	defer close(s.done)
@@ -324,13 +348,8 @@ func (s *Store) flushLoop() {
 		select {
 		case <-t.C:
 			s.mu.Lock()
-			if s.dirty && s.failed == nil {
-				if err := s.f.Sync(); err != nil {
-					s.fail(fmt.Errorf("durable: syncing wal: %w", err))
-				} else {
-					s.fsyncs++
-					s.dirty = false
-				}
+			if s.dirty && !s.walFailed {
+				_ = s.syncLocked() // a failure latches the store
 			}
 			s.mu.Unlock()
 		case <-s.stop:
@@ -376,11 +395,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	var err error
-	if s.dirty && s.failed == nil && s.opts.Fsync != FsyncNever {
-		if err = s.f.Sync(); err == nil {
-			s.fsyncs++
-			s.dirty = false
-		}
+	if s.dirty && !s.walFailed && s.opts.Fsync != FsyncNever {
+		err = s.syncLocked()
 	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"fpgasched/internal/task"
 	"fpgasched/internal/timeunit"
@@ -284,6 +285,38 @@ func TestCompactionFailureAcknowledgesLoggedRecord(t *testing.T) {
 		LastSeq:     uint64(1 + len(acked)),
 		Controllers: []ControllerState{{Name: "x", Columns: 10, Tests: []string{"GN2"}, Tasks: acked}},
 	})
+}
+
+// TestCompactionFailureStillFlushesWAL: under FsyncInterval, a failed
+// compaction refuses later appends but leaves the WAL healthy, so the
+// acknowledged records must still be synced — here by Close, since the
+// hour-long interval never ticks.
+func TestCompactionFailureStillFlushesWAL(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, snapTmpFileName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Dir: dir, Fsync: FsyncInterval, FsyncInterval: time.Hour, SnapshotBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, s, Record{Op: OpCreateController, Controller: "x", Columns: 10, Tests: []string{"GN2"}})
+	for i := 0; !s.Metrics().Degraded; i++ {
+		if i == 100 {
+			t.Fatal("no compaction was attempted")
+		}
+		a := tk(fmt.Sprintf("t%d", i), 1, 8, 8, 1)
+		mustAppend(t, s, Record{Op: OpAdmit, Controller: "x", Task: &a})
+	}
+	if m := s.Metrics(); m.Fsyncs != 0 {
+		t.Fatalf("fsyncs before Close = %d, want 0 (the interval never ticked)", m.Fsyncs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if m := s.Metrics(); m.Fsyncs != 1 {
+		t.Fatalf("fsyncs after Close = %d, want 1: the acknowledged records were never synced", m.Fsyncs)
+	}
 }
 
 func TestFsyncPoliciesCount(t *testing.T) {

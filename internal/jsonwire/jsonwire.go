@@ -1,35 +1,94 @@
 // Package jsonwire holds the reflection-free JSON primitives shared by
-// the hot wire codecs (task.Set and api.AdmitResponse): an appender
-// that renders strings exactly as encoding/json does, and a one-pass
-// cursor over the plain subset of JSON those codecs accept.
+// the hot wire codecs (task.Set, api.AdmitResponse and the analyze
+// request and response): an appender that renders strings exactly as
+// encoding/json does, a one-pass cursor over the plain subset of JSON
+// those codecs accept, and the read that hands a body to the cursor
+// with the encoding/json fallback ready.
 //
 // The cursor decides nothing on its own. Every method reports ok =
 // false on input outside the plain subset — string escapes, bytes
-// outside printable ASCII, null, numbers with a fraction or exponent —
-// and a codec built on it then hands the same bytes to encoding/json,
-// whose answer is authoritative. The codecs' fuzz targets pin the two
-// paths to each other.
+// outside printable ASCII (outside valid UTF-8 for Text), null, numbers
+// with a fraction or exponent — and a codec built on it then hands the
+// same bytes to encoding/json, whose answer is authoritative. The
+// codecs' fuzz targets pin the two paths to each other.
 package jsonwire
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"strconv"
+	"unicode/utf8"
 )
 
+// ReadPlain reads all of r and hands the bytes to parse, a codec's
+// plain-subset parser. If parse accepts them it returns ok = true.
+// Otherwise — parse refused them, or the read failed — it returns a
+// reader that replays exactly what r yielded, the bytes and then the
+// read error, for the codec's json.Decoder fallback: a decoder reading
+// it sees what a streaming decoder of r would have seen, so its result
+// and error text are those of a plain json.Decoder decode.
+func ReadPlain(r io.Reader, parse func([]byte) bool) (rest io.Reader, ok bool) {
+	data, err := io.ReadAll(r)
+	if err == nil && parse(data) {
+		return nil, true
+	}
+	rest = bytes.NewReader(data)
+	if err != nil {
+		rest = io.MultiReader(rest, errReader{err})
+	}
+	return rest, false
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
 // AppendString appends s as a JSON string exactly as json.Marshal
-// renders it. Printable ASCII other than the characters encoding/json
-// escapes (quote, backslash and the HTML-sensitive <, >, &) is copied
-// as is; any other string is delegated to json.Marshal.
+// renders it. A string of printable ASCII other than the characters
+// encoding/json escapes (quote, backslash and the HTML-sensitive <, >,
+// &) and of valid multi-byte UTF-8 other than U+2028 and U+2029 is
+// copied as is; any other string is delegated to json.Marshal.
 func AppendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if !verbatim[s[i]] {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(b, q...)
+		if c := s[i]; !verbatim[c] {
+			if c < utf8.RuneSelf || !verbatimText(s[i:]) {
+				return appendMarshalled(b, s)
+			}
+			break
 		}
 	}
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// verbatimText reports whether encoding/json copies every byte of s
+// into a string as it is: verbatim ASCII, and valid multi-byte UTF-8
+// other than U+2028 and U+2029.
+func verbatimText(s string) bool {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !verbatim[c] {
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			return false
+		}
+		i += size
+	}
+	return true
+}
+
+// appendMarshalled appends json.Marshal's encoding of s.
+func appendMarshalled(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always encodes
+	return append(b, q...)
 }
 
 // verbatim marks the printable ASCII bytes encoding/json copies into a
@@ -92,6 +151,27 @@ func (p *Parser) Str() (string, bool) {
 		j++
 	}
 	if j == len(in) || in[j] != '"' {
+		return "", false
+	}
+	s := in[p.i:j]
+	p.i = j + 1
+	return s, true
+}
+
+// Text reads a string with no escapes whose bytes are printable ASCII
+// or valid multi-byte UTF-8: the free text (a verdict's reason) that
+// encoding/json writes as is, and reads back unchanged.
+func (p *Parser) Text() (string, bool) {
+	if !p.Consume('"') {
+		return "", false
+	}
+	in, j := p.s, p.i
+	wide := false
+	for j < len(in) && (plain[in[j]] || in[j] >= utf8.RuneSelf) {
+		wide = wide || in[j] >= utf8.RuneSelf
+		j++
+	}
+	if j == len(in) || in[j] != '"' || wide && !utf8.ValidString(in[p.i:j]) {
 		return "", false
 	}
 	s := in[p.i:j]

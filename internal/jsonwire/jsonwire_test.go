@@ -77,3 +77,25 @@ func TestParserPlainSubset(t *testing.T) {
 		t.Error("End accepted trailing data")
 	}
 }
+
+// TestParserText pins Text: Str's subset plus valid multi-byte UTF-8,
+// which json.Decoder reads back unchanged; escapes, control bytes and
+// invalid UTF-8 (which json.Decoder replaces) are refused.
+func TestParserText(t *testing.T) {
+	text := func(in string) (string, bool) { p := NewParser([]byte(in)); return p.Text() }
+	for _, in := range []string{`"a b/c~"`, `""`, "\"\x7f\"", `"no λ ≥ C/T for τ2"`, "\"US(Γ)=7/2  \""} {
+		got, ok := text(in)
+		var want string
+		if err := json.Unmarshal([]byte(in), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !ok || got != want {
+			t.Errorf("Text(%q) = %q, %v; want %q", in, got, ok, want)
+		}
+	}
+	for _, in := range []string{`"a\"b"`, `"a\\b"`, "\"tab\t\"", "\"bad \xff\"", "\"cut \xce\"", `"open`, `null`} {
+		if got, ok := text(in); ok {
+			t.Errorf("Text(%q) = %q, want refusal", in, got)
+		}
+	}
+}

@@ -60,6 +60,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -73,6 +74,7 @@ import (
 	"fpgasched/internal/core"
 	"fpgasched/internal/engine"
 	"fpgasched/internal/jobs"
+	"fpgasched/internal/jsonwire"
 	"fpgasched/internal/sched"
 	"fpgasched/internal/sim"
 	"fpgasched/internal/task"
@@ -377,6 +379,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeEncoded sends a 200 JSON response whose body a one-pass codec
+// has already encoded as writeJSON would.
+func writeEncoded(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
 // statusFor maps an error code to its transport status. Codes whose
 // status depends on the site (limit_exceeded is 400 on analysis input
 // but 409 on resident capacity) are written with an explicit status
@@ -422,8 +432,25 @@ func decodeErr(err error) *api.Error {
 
 // decodeJSON strictly decodes the request body into v, rejecting unknown
 // fields and trailing garbage so client typos fail loudly.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decodeJSON(r *http.Request, v any) error { return decodeStrict(r.Body, v) }
+
+// decodeAnalyze decodes an analyze request body with the one-pass
+// AnalyzeRequest.ParseJSON, and with decodeJSON's strict decoder — which
+// sees exactly the bytes, and the read error, that decoding the body
+// directly would have seen — when the body falls outside ParseJSON's
+// plain subset, so results and error text are decodeJSON's.
+func decodeAnalyze(body io.Reader, req *api.AnalyzeRequest) error {
+	rest, ok := jsonwire.ReadPlain(body, req.ParseJSON)
+	if ok {
+		return nil
+	}
+	*req = api.AnalyzeRequest{}
+	return decodeStrict(rest, req)
+}
+
+// decodeStrict is decodeJSON over any reader.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -727,7 +754,7 @@ func (s *Server) clusterVerdict(ctx context.Context, r engine.Request, explain b
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req api.AnalyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeAnalyze(r.Body, &req); err != nil {
 		writeError(w, decodeErr(err))
 		return
 	}
@@ -781,7 +808,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp.Results = results
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeEncoded(w, resp.AppendJSON(nil))
 }
 
 // ---- /v1/simulate ----
@@ -996,9 +1023,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := api.AdmitResponse{Admitted: d.Admitted, ProvedBy: d.ProvedBy, Reason: d.Reason, Certificate: d.Certificate}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(resp.AppendJSON(nil))
+	writeEncoded(w, resp.AppendJSON(nil))
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {

@@ -725,7 +725,9 @@ func TestWarmSpeedup(t *testing.T) {
 	// A diverse 60-task workload: distinct utilizations give GN2's λ
 	// sweep a full-size candidate set (a tiled taskset's candidate set
 	// collapses after dedup, which would make the cold path trivial).
-	s := workload.Unconstrained(60).Generate(workload.Rand(1))
+	// Its US(Γ) = 50 is below Abnd = 71, so GN2's set-level stage cannot
+	// reject it and every task runs the sweep to its accepting λ.
+	s, _ := workload.SpatiallyLightTemporallyHeavy(60).GenerateWithTargetUS(workload.Rand(1), 50)
 	cols := workload.FigureDeviceColumns
 	const rounds = 20
 	permuted := func(i int) *task.Set {

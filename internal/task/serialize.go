@@ -83,7 +83,7 @@ func (s *Set) wire() jsonSet {
 // compact encoding of the wire form (an enclosing encoder re-formats it
 // anyway; WriteJSON indents).
 func (s *Set) MarshalJSON() ([]byte, error) {
-	return appendWireSet(make([]byte, 0, 64*len(s.Tasks)+16), s.Tasks), nil
+	return s.AppendJSON(make([]byte, 0, 64*len(s.Tasks)+16)), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Set. The canonical
@@ -92,29 +92,11 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 // decoded strictly task by task, which is also what gives every error
 // its "tasks[i]:" prefix.
 func (s *Set) UnmarshalJSON(data []byte) error {
-	if wire, ok := parseWireSet(data); ok {
-		tasks := make([]Task, len(wire))
-		if fromJSONTasks(wire, tasks) {
-			s.Tasks = tasks
-			return nil
-		}
+	if tasks, ok := parseWireSet(data); ok {
+		s.Tasks = tasks
+		return nil
 	}
 	return s.unmarshalPerTask(data)
-}
-
-// fromJSONTasks converts decoded wire tasks into out, reporting false
-// at the first field that does not parse.
-func fromJSONTasks(in []jsonTask, out []Task) bool {
-	for i, jt := range in {
-		c, err1 := timeunit.Parse(jt.C)
-		d, err2 := timeunit.Parse(jt.D)
-		t, err3 := timeunit.Parse(jt.T)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return false
-		}
-		out[i] = Task{Name: jt.Name, C: c, D: d, T: t, A: jt.A}
-	}
-	return true
 }
 
 // unmarshalPerTask decodes the set one task at a time, each task

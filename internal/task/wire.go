@@ -6,14 +6,15 @@ import (
 	"strings"
 
 	"fpgasched/internal/jsonwire"
+	"fpgasched/internal/timeunit"
 )
 
-// appendWireSet appends the compact JSON encoding of tasks — the bytes
+// AppendJSON appends the set's compact JSON encoding — the bytes
 // json.Marshal produces for the set's jsonSet form — to b, without
 // reflection or an intermediate copy of the set.
-func appendWireSet(b []byte, tasks []Task) []byte {
+func (s *Set) AppendJSON(b []byte) []byte {
 	b = append(b, `{"tasks":[`...)
-	for i, t := range tasks {
+	for i, t := range s.Tasks {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -24,11 +25,11 @@ func appendWireSet(b []byte, tasks []Task) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, `"c":"`...)
-		b = append(b, t.C.String()...)
+		b = t.C.Append(b)
 		b = append(b, `","d":"`...)
-		b = append(b, t.D.String()...)
+		b = t.D.Append(b)
 		b = append(b, `","t":"`...)
-		b = append(b, t.T.String()...)
+		b = t.T.Append(b)
 		b = append(b, `","a":`...)
 		b = strconv.AppendInt(b, int64(t.A), 10)
 		b = append(b, '}')
@@ -46,32 +47,52 @@ func appendWireSet(b []byte, tasks []Task) []byte {
 // that time in reflection and in re-scanning the same bytes. It
 // reports ok = false on anything outside that subset — string escapes,
 // bytes outside printable ASCII, null, a key that is not exactly one of
-// the field names, a non-integer area, trailing data — and decides
-// nothing on its own: the caller then runs the strict per-task decode.
-// On every input it accepts, that decode yields the same tasks
-// (duplicate keys included: the last one wins in both), which
-// FuzzSetUnmarshalJSON checks.
-func parseWireSet(data []byte) (tasks []jsonTask, ok bool) {
+// the field names, a non-integer area, a duration that does not parse,
+// trailing data — and decides nothing on its own: the caller then runs
+// the strict per-task decode. On every input it accepts, that decode
+// yields the same tasks (duplicate keys included: the last one wins in
+// both), which FuzzSetUnmarshalJSON checks.
+func parseWireSet(data []byte) ([]Task, bool) {
 	p := jsonwire.NewParser(data)
+	// Every task is one object, so the braces bound the task count.
+	tasks, ok := parseSet(&p, bytes.Count(data, []byte("{"))-1)
+	return tasks, ok && p.End()
+}
+
+// ParseWire reads one set in parseWireSet's subset at p's cursor, for
+// a codec that embeds sets in a larger document; hint is the expected
+// task count (0 if unknown). On ok = false the cursor is unspecified
+// and the enclosing codec falls back to encoding/json, which decodes
+// the set through Set.UnmarshalJSON.
+func ParseWire(p *jsonwire.Parser, hint int) (*Set, bool) {
+	tasks, ok := parseSet(p, hint)
+	if !ok {
+		return nil, false
+	}
+	return &Set{Tasks: tasks}, true
+}
+
+// parseSet reads the set object at p's cursor.
+func parseSet(p *jsonwire.Parser, hint int) (tasks []Task, ok bool) {
 	ok = p.Object(func(key string) bool {
 		if key != "tasks" || tasks != nil {
 			return false
 		}
-		// Every task is one object, so the braces bound the task count.
-		tasks = make([]jsonTask, 0, bytes.Count(data, []byte("{"))-1)
+		tasks = make([]Task, 0, max(hint, 0))
 		return p.Array(func() bool {
-			jt, ok := parseTask(&p)
-			tasks = append(tasks, jt)
+			t, ok := parseTask(p)
+			tasks = append(tasks, t)
 			return ok
 		})
 	})
-	return tasks, ok && tasks != nil && p.End()
+	return tasks, ok && tasks != nil
 }
 
 // parseTask reads one task object. Duplicate keys are allowed: the
 // last one wins, as in encoding/json.
-func parseTask(p *jsonwire.Parser) (jt jsonTask, ok bool) {
-	ok = p.Object(func(key string) (ok bool) {
+func parseTask(p *jsonwire.Parser) (Task, bool) {
+	var jt jsonTask
+	ok := p.Object(func(key string) (ok bool) {
 		switch key {
 		case "name":
 			// A name outlives the parse; copy it so it does not pin
@@ -89,5 +110,14 @@ func parseTask(p *jsonwire.Parser) (jt jsonTask, ok bool) {
 		}
 		return ok
 	})
-	return jt, ok
+	if !ok {
+		return Task{}, false
+	}
+	c, err1 := timeunit.Parse(jt.C)
+	d, err2 := timeunit.Parse(jt.D)
+	t, err3 := timeunit.Parse(jt.T)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return Task{}, false
+	}
+	return Task{Name: jt.Name, C: c, D: d, T: t, A: jt.A}, true
 }

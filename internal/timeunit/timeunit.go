@@ -88,7 +88,11 @@ func (t Time) Units() int64 { return int64(t) / TicksPerUnit }
 // trimmed, e.g. Time(12600) -> "1.26".
 func (t Time) String() string {
 	var buf [24]byte
-	b := buf[:0]
+	return string(t.Append(buf[:0]))
+}
+
+// Append appends t's String form to b.
+func (t Time) Append(b []byte) []byte {
 	v := uint64(t)
 	if t < 0 {
 		b = append(b, '-')
@@ -104,7 +108,7 @@ func (t Time) String() string {
 		b = append(b, '.')
 		b = append(b, bytes.TrimRight(digits[:], "0")...)
 	}
-	return string(b)
+	return b
 }
 
 // Parse converts a decimal string such as "1.26" or "-0.5" to ticks.
